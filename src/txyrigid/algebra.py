@@ -1,11 +1,12 @@
 """Exact arithmetic kernel: sparse polynomials in x and y over the
-rationals, Laurent polynomials in z, fractions whose denominators are
-products of (z^a - 1), and truncated Laurent series.
+rationals, Laurent polynomials in z over the integer polynomials in x,
+and truncated Laurent series.
 
 Conventions shared by the whole package:
 
-* coefficients are ``fractions.Fraction`` values, always reduced;
-  no floating point appears anywhere,
+* coefficients are ``fractions.Fraction`` values, always reduced, except
+  in ``LaurentZ``, whose coefficients are plain ``int`` values; no
+  floating point appears anywhere,
 * sparse maps never store a zero coefficient, so structural equality
   is semantic equality,
 * every value is immutable once constructed and safe to share between
@@ -14,12 +15,9 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -297,290 +295,96 @@ def poly_div_exact(numerator: PolyXY, divisor: PolyXY) -> Optional[PolyXY]:
 
 
 class LaurentZ:
-    """Laurent polynomial in the formal variable z with PolyXY coefficients.
+    """Laurent polynomial in the formal variable z whose coefficients are
+    integer polynomials in x.
 
-    Negative z-exponents are allowed; no stored coefficient is zero.
+    ``terms`` maps a z-exponent (negative allowed) to a nonzero coefficient,
+    itself a dict from x-exponent to nonzero ``int``.  This is the ring the
+    z-domain defect lives in with y set to 1: every z-coefficient of the
+    cleared identity is an integer polynomial homogeneous of degree n in x
+    and y, so dehomogenizing loses nothing.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Union[Mapping, Iterable] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[int, PolyXY] = {}
-        for k, p in items:
-            if isinstance(p, (int, Fraction)):
-                p = PolyXY.const(p)
-            if p.is_zero():
-                continue
-            k = int(k)
-            prev = clean.get(k)
-            if prev is None:
-                clean[k] = p
-            else:
-                s = prev + p
-                if s.is_zero():
-                    del clean[k]
-                else:
-                    clean[k] = s
+    def __init__(self, terms: Optional[Mapping] = None):
+        # a coefficient is an {x-exponent: int} map or a plain int (x^0)
+        clean: dict[int, dict[int, int]] = {}
+        for k, c in (terms or {}).items():
+            poly = {0: c} if isinstance(c, int) else c
+            if any(i < 0 for i in poly):
+                raise ValueError("negative x-exponent in LaurentZ")
+            poly = {int(i): int(v) for i, v in poly.items() if v}
+            if poly:
+                clean[int(k)] = poly
         self.terms = clean
 
     @classmethod
     def _raw(cls, terms: dict) -> "LaurentZ":
+        # internal: callers store no zero int; drop emptied coefficients
         value = object.__new__(cls)
-        value.terms = terms
+        value.terms = {k: c for k, c in terms.items() if c}
         return value
-
-    @classmethod
-    def zero(cls) -> "LaurentZ":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "LaurentZ":
-        return cls._raw({0: PolyXY.one()})
-
-    @classmethod
-    def from_poly(cls, p: PolyXY) -> "LaurentZ":
-        return cls._raw({} if p.is_zero() else {0: p})
-
-    @classmethod
-    def term(cls, exponent: int, coefficient: PolyXY) -> "LaurentZ":
-        return cls._raw({} if coefficient.is_zero() else {exponent: coefficient})
-
-    # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def term_count(self) -> int:
+        """Number of nonzero z-coefficients."""
         return len(self.terms)
 
-    def exponents(self) -> list[int]:
-        return sorted(self.terms)
-
-    def coeff(self, k: int) -> PolyXY:
-        return self.terms.get(k, PolyXY.zero())
-
-    def min_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero Laurent polynomial has no exponents")
-        return min(self.terms)
-
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero Laurent polynomial has no exponents")
-        return max(self.terms)
-
-    # -- arithmetic ------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> Optional["LaurentZ"]:
-        if isinstance(other, LaurentZ):
-            return other
-        if isinstance(other, (int, Fraction, PolyXY)):
-            p = other if isinstance(other, PolyXY) else PolyXY.const(other)
-            return LaurentZ.from_poly(p)
-        return None
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, LaurentZ):
             return NotImplemented
         return self.terms == other.terms
 
     def __add__(self, other) -> "LaurentZ":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, LaurentZ):
             return NotImplemented
-        out = dict(self.terms)
-        for k, p in other.terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = p
-            else:
-                s = prev + p
-                if s.is_zero():
-                    del out[k]
+        out = {k: dict(c) for k, c in self.terms.items()}
+        for k, c in other.terms.items():
+            acc = out.setdefault(k, {})
+            for i, v in c.items():
+                s = acc.get(i, 0) + v
+                if s:
+                    acc[i] = s
                 else:
-                    out[k] = s
+                    del acc[i]
         return LaurentZ._raw(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentZ":
-        return LaurentZ._raw({k: -p for k, p in self.terms.items()})
+        return LaurentZ._raw(
+            {k: {i: -v for i, v in c.items()} for k, c in self.terms.items()}
+        )
 
     def __sub__(self, other) -> "LaurentZ":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, LaurentZ):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "LaurentZ":
-        return -(self - other)
-
     def __mul__(self, other) -> "LaurentZ":
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, int):
+            other = LaurentZ({0: other})
+        elif not isinstance(other, LaurentZ):
             return NotImplemented
-        out: dict[int, PolyXY] = {}
-        for k1, p1 in self.terms.items():
-            for k2, p2 in other.terms.items():
-                k = k1 + k2
-                p = p1 * p2
-                prev = out.get(k)
-                if prev is None:
-                    if not p.is_zero():
-                        out[k] = p
-                else:
-                    s = prev + p
-                    if s.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = s
+        out: dict[int, dict[int, int]] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                acc = out.setdefault(k1 + k2, {})
+                for i1, v1 in c1.items():
+                    for i2, v2 in c2.items():
+                        i = i1 + i2
+                        s = acc.get(i, 0) + v1 * v2
+                        if s:
+                            acc[i] = s
+                        else:
+                            del acc[i]
         return LaurentZ._raw(out)
 
     __rmul__ = __mul__
 
-    def shift(self, delta: int) -> "LaurentZ":
-        """Multiply by z**delta."""
-        return LaurentZ._raw({k + delta: p for k, p in self.terms.items()})
-
-    # -- substitutions ---------------------------------------------------
-
-    def specialize(self, x0: Scalar, y0: Scalar) -> "LaurentZ":
-        """Substitute rational values for x and y; coefficients become
-        constants."""
-        out = {}
-        for k, p in self.terms.items():
-            v = p.substitute(x0, y0)
-            if v:
-                out[k] = PolyXY.const(v)
-        return LaurentZ._raw(out)
-
-    def eval_z(self, z0: Scalar) -> PolyXY:
-        """Substitute a nonzero rational for z, keeping x and y formal."""
-        z0 = _fraction(z0)
-        if not z0:
-            raise ValueError("z must be nonzero (negative exponents occur)")
-        total = PolyXY.zero()
-        for k, p in self.terms.items():
-            total = total + p * z0**k
-        return total
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms, reverse=True):
-            p = self.terms[k]
-            if k == 0:
-                parts.append(str(p))
-                continue
-            zpow = "z" if k == 1 else f"z^{k}"
-            if p == PolyXY.one():
-                parts.append(zpow)
-            elif len(p.terms) == 1:
-                parts.append(f"{p}*{zpow}")
-            else:
-                parts.append(f"({p})*{zpow}")
-        return " + ".join(parts)
-
     def __repr__(self) -> str:
-        return f"LaurentZ({self})"
-
-
-def expand_denominator(entries: Iterable[int]) -> LaurentZ:
-    """The product of (z^a - 1) over a multiset of positive integers."""
-    out = LaurentZ.one()
-    minus_one = PolyXY.const(-1)
-    for a in entries:
-        out = out * LaurentZ._raw({int(a): PolyXY.one(), 0: minus_one})
-    return out
-
-
-@dataclass(frozen=True)
-class FactoredFraction:
-    """A Laurent numerator over a denominator kept in factored form.
-
-    ``denominator`` is a multiset of positive integers, each entry ``a``
-    standing for one factor (z^a - 1); the overall sign lives in the
-    numerator.  The value is never reduced to lowest terms: equality and
-    constancy questions go through cross-multiplication.
-    """
-
-    numerator: LaurentZ
-    denominator: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        entries = tuple(sorted(int(a) for a in self.denominator))
-        if any(a <= 0 for a in entries):
-            raise ValueError("denominator entries must be positive integers")
-        object.__setattr__(self, "denominator", entries)
-
-    @classmethod
-    def zero(cls) -> "FactoredFraction":
-        return cls(LaurentZ.zero(), ())
-
-    def __add__(self, other: "FactoredFraction") -> "FactoredFraction":
-        if not isinstance(other, FactoredFraction):
-            return NotImplemented
-        mine, theirs = Counter(self.denominator), Counter(other.denominator)
-        shared = mine | theirs  # least common multiset
-        left = self.numerator * expand_denominator((shared - mine).elements())
-        right = other.numerator * expand_denominator((shared - theirs).elements())
-        return FactoredFraction(left + right, tuple(shared.elements()))
-
-    def __neg__(self) -> "FactoredFraction":
-        return FactoredFraction(-self.numerator, self.denominator)
-
-    def __sub__(self, other: "FactoredFraction") -> "FactoredFraction":
-        return self + (-other)
-
-    def expanded_denominator(self) -> LaurentZ:
-        return expand_denominator(self.denominator)
-
-    def value_equals(self, other: "FactoredFraction") -> bool:
-        """Equality of represented values, decided by cross-multiplication."""
-        mine, theirs = Counter(self.denominator), Counter(other.denominator)
-        shared = mine | theirs
-        left = self.numerator * expand_denominator((shared - mine).elements())
-        right = other.numerator * expand_denominator((shared - theirs).elements())
-        return left == right
-
-    def is_constant(self) -> Optional[PolyXY]:
-        """The constant C with numerator == C * (expanded denominator), if any.
-
-        The candidate C is read off the top z-coefficients and then verified
-        by an exact identity test, so a returned value is always correct and
-        None is returned whenever no polynomial constant exists.
-        """
-        if self.numerator.is_zero():
-            return PolyXY.zero()
-        expanded = self.expanded_denominator()
-        if self.numerator.max_exp() != expanded.max_exp():
-            return None
-        candidate = poly_div_exact(
-            self.numerator.coeff(self.numerator.max_exp()),
-            expanded.coeff(expanded.max_exp()),
-        )
-        if candidate is None:
-            return None
-        if self.numerator - LaurentZ.from_poly(candidate) * expanded == LaurentZ.zero():
-            return candidate
-        return None
-
-    def __str__(self) -> str:
-        if not self.denominator:
-            return f"({self.numerator})"
-        den = "*".join(f"(z^{a} - 1)" if a != 1 else "(z - 1)" for a in self.denominator)
-        return f"({self.numerator}) / {den}"
-
-
-def fraction_is_constant(fraction: FactoredFraction) -> Optional[PolyXY]:
-    return fraction.is_constant()
+        return f"LaurentZ({self.terms!r})"
 
 
 _ZERO_POLY = PolyXY.zero()

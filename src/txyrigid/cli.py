@@ -24,13 +24,17 @@ canonical form (no platform width limits).  Reports are JSON with all
 rational values rendered as reduced fraction strings.
 
 Exit codes: 0 rigid / constant / success, 1 completed with a negative
-verdict, 2 input or usage error.
+verdict, 2 input or usage error.  Data whose exact check would exceed the
+work bound ``genera.MAX_DEFECT_WORK`` is an input error, as is
+``search --jobs`` below 1; the search runs at most ``os.cpu_count()``
+workers whatever ``--jobs`` asks for.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -45,6 +49,11 @@ DEFAULT_ORDER = 12
 MAX_ORDER = 200
 
 
+# decimal strings: ASCII digits only, so no '_' separators or other scripts
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_FRACTION = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 class InputError(Exception):
     """Malformed input document; the message carries a field diagnostic."""
 
@@ -56,10 +65,9 @@ def _parse_int(value: Any, where: str) -> int:
         return value
     if isinstance(value, str):
         text = value.strip()
-        try:
-            return int(text, 10)
-        except ValueError:
-            raise InputError(f"{where}: {value!r} is not a decimal integer") from None
+        if not _INTEGER.fullmatch(text):
+            raise InputError(f"{where}: {value!r} is not a decimal integer")
+        return int(text)
     raise InputError(f"{where}: expected an integer or decimal string")
 
 
@@ -76,10 +84,13 @@ def _parse_fraction(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if not _FRACTION.fullmatch(text):
+            raise InputError(f"{where}: {value!r} is not a fraction 'p/q'")
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{where}: {value!r} is not a fraction 'p/q'") from None
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise InputError(f"{where}: {value!r} has a zero denominator") from None
     raise InputError(f"{where}: expected an integer or fraction string")
 
 

@@ -12,20 +12,29 @@ is the constant given by the signed monomial sum over fixed points
 into an exact Laurent-polynomial identity, which is what this module
 decides.  Negative weights are rewritten with positive denominator
 exponents: (x z^-a + y)/(z^-a - 1) = -(x + y z^a)/(z^a - 1).
+
+Every z-coefficient of the cleared identity is an integer polynomial
+homogeneous of degree n in x and y, so the identity is decided at y = 1
+over Z[x][z, 1/z]: a homogeneous p(x, y) of degree n is y^n p(x/y, 1), and
+its y = 0 value is its x^n coefficient.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import gcd
+from operator import or_
 from typing import Optional
 
-from .algebra import FactoredFraction, LaurentZ, PolyXY, Scalar
+from .algebra import LaurentZ, PolyXY
 
-_X = PolyXY.x()
-_Y = PolyXY.y()
+# Work guard: rigidity_defect refuses data when its upper bound on the
+# coefficient products of the expansion exceeds this.  Two negated points
+# with n distinct power-of-two weights first exceed it at n = 17; admitted
+# data takes at most a few seconds.
+MAX_DEFECT_WORK = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -97,39 +106,18 @@ class GenusReport:
     weight_gcd: int
 
 
-def point_term(point: FixedPoint) -> FactoredFraction:
-    """The factored fraction contributed by a single fixed point."""
-    numerator = LaurentZ.from_poly(PolyXY.const(point.sign))
-    denominator = []
-    for w in point.weights:
-        if w > 0:
-            numerator = numerator * LaurentZ({w: _X, 0: _Y})
-            denominator.append(w)
-        else:
-            a = -w
-            numerator = numerator * LaurentZ({0: -_X, a: -_Y})
-            denominator.append(a)
-    return FactoredFraction(numerator, tuple(denominator))
-
-
-def rigidity_sum(data: FixedPointData) -> FactoredFraction:
-    """The signed sum of point terms over all fixed points."""
-    return reduce(
-        FactoredFraction.__add__,
-        (point_term(p) for p in data.points),
-        FactoredFraction.zero(),
-    )
-
-
-def _signed_monomial_sum(data: FixedPointData, swapped: bool) -> PolyXY:
-    items = []
+def _signed_monomials(data: FixedPointData, swapped: bool = False):
+    """(x-exponent, y-exponent, integer coefficient) of each point's term
+    sign * x^{s+} * (-y)^{s-}, with s+ and s- exchanged when swapped."""
     for p in data.points:
         plus, minus = p.s_plus, p.s_minus
         if swapped:
             plus, minus = minus, plus
-        coeff = Fraction(p.sign if minus % 2 == 0 else -p.sign)
-        items.append(((plus, minus), coeff))
-    return PolyXY(items)
+        yield plus, minus, p.sign if minus % 2 == 0 else -p.sign
+
+
+def _signed_monomial_sum(data: FixedPointData, swapped: bool) -> PolyXY:
+    return PolyXY(((i, j), c) for i, j, c in _signed_monomials(data, swapped))
 
 
 def ah_constant(data: FixedPointData) -> PolyXY:
@@ -150,12 +138,58 @@ def weight_gcd(data: FixedPointData) -> int:
     return reduce(gcd, (abs(w) for p in data.points for w in p.weights))
 
 
+def _chain_cost(exponents: list[int], width: int) -> int:
+    """Upper bound on the coefficient products of multiplying binomials
+    c + d z^e into a running product, one at a time, over the given
+    exponents e > 0 and with at most ``width`` x-terms per coefficient.
+    Every running product has z-exponents among the subset sums of the
+    exponents, of which there are at most 2^count and at most total + 1."""
+    terms = min(1 << len(exponents), sum(exponents) + 1)
+    return len(exponents) * terms * width
+
+
 def rigidity_defect(data: FixedPointData) -> LaurentZ:
-    """Numerator minus constant times expanded denominator; the data is
-    rigid exactly when this Laurent polynomial is zero."""
-    total = rigidity_sum(data)
-    expected = LaurentZ.from_poly(ah_constant(data))
-    return total.numerator - expected * total.expanded_denominator()
+    """Numerator minus constant times expanded denominator, at y = 1; the
+    data is rigid exactly when this Laurent polynomial is zero.
+
+    The points are put over the least common multiset of their (z^a - 1)
+    factors, so every product is a chain of binomials in z.  Before
+    expanding anything, the work of those chains is bounded from the
+    weights alone; a bound above MAX_DEFECT_WORK raises ValueError.  The
+    bound counts distinct weight sums, so large weights alone do not
+    trip it.
+    """
+    own = [Counter(abs(w) for w in p.weights) for p in data.points]
+    shared = reduce(or_, own)
+    extra = [list((shared - mine).elements()) for mine in own]
+    width = data.n + 1
+    estimate = _chain_cost(list(shared.elements()), width) + sum(
+        _chain_cost([abs(w) for w in p.weights] + more, width)
+        for p, more in zip(data.points, extra)
+    )
+    if estimate > MAX_DEFECT_WORK:
+        raise ValueError(
+            f"defect work estimate {estimate} coefficient products exceeds"
+            f" the bound {MAX_DEFECT_WORK}"
+        )
+    total = LaurentZ()
+    for point, more in zip(data.points, extra):
+        term = LaurentZ({0: point.sign})
+        for w in point.weights:
+            if w > 0:
+                term = term * LaurentZ({w: {1: 1}, 0: 1})  # x z^w + 1
+            else:
+                term = term * LaurentZ({0: {1: -1}, -w: -1})  # -(x + z^a)
+        for a in more:
+            term = term * LaurentZ({a: 1, 0: -1})
+        total = total + term
+    ah = Counter()
+    for i, _, c in _signed_monomials(data):
+        ah[i] += c
+    expected = LaurentZ({0: ah})
+    for a in shared.elements():
+        expected = expected * LaurentZ({a: 1, 0: -1})
+    return total - expected
 
 
 def is_rigid(data: FixedPointData) -> GenusReport:
@@ -170,32 +204,3 @@ def is_rigid(data: FixedPointData) -> GenusReport:
         limits_symmetric=limit_symmetry(data),
         weight_gcd=weight_gcd(data),
     )
-
-
-def specialize(fraction: FactoredFraction, x0: Scalar, y0: Scalar) -> FactoredFraction:
-    """Substitute rational values for x and y; the numerator becomes a
-    Laurent polynomial with constant coefficients."""
-    return FactoredFraction(fraction.numerator.specialize(x0, y0), fraction.denominator)
-
-
-def substitute_x_pow(fraction: FactoredFraction, a: int) -> FactoredFraction:
-    """Substitute x -> -z^a and y -> 1, producing a univariate fraction.
-
-    This collapses a factor (x z^b + y) to (1 - z^{a+b}) and a factor
-    (x + y z^b) to (z^b - z^a), killing any factor with b = a.
-    """
-    if a < 1:
-        raise ValueError("the substitution exponent must be a positive integer")
-    acc: dict[int, Fraction] = {}
-    for k, p in fraction.numerator.terms.items():
-        for (i, j), c in p.terms.items():
-            exponent = k + a * i
-            value = c if i % 2 == 0 else -c
-            prev = acc.get(exponent)
-            total = value if prev is None else prev + value
-            if total:
-                acc[exponent] = total
-            elif prev is not None:
-                del acc[exponent]
-    numerator = LaurentZ({k: PolyXY.const(v) for k, v in acc.items()})
-    return FactoredFraction(numerator, fraction.denominator)

@@ -20,6 +20,7 @@ survivors are passed to the exact z-domain check.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -229,11 +230,16 @@ def _search_shard(args) -> tuple[list, int, int, int]:
 def search_rigid(params: SearchParams, jobs: int = 1) -> SearchOutcome:
     """All rigid representatives in range, with reports and (for two-point
     data) family tags.  Results are sorted by the data's point keys, so
-    the output is deterministic and independent of the job count."""
+    the output is deterministic and independent of the job count.
+
+    ``jobs`` must be at least 1; at most ``os.cpu_count()`` worker
+    processes run, however large it is."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     shards = 1
-    if jobs > 1 and params.sign_patterns is None:
+    if params.sign_patterns is None:
         # fixed sign patterns keep a shared dedupe set; leave them unsharded
-        shards = jobs
+        shards = min(jobs, os.cpu_count() or 1)
     if shards == 1:
         results, candidates, pruned_count, checked = _search_shard((params, 0, 1))
     else:

@@ -1,6 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 from txyrigid.cli import main
 
@@ -72,6 +76,60 @@ def test_verify_zero_weight_is_input_error(capsys, monkeypatch):
     status, out, err = run_cli(capsys, ["verify", "-"], stdin=bad, monkeypatch=monkeypatch)
     assert status == 2
     assert "points[0].weights[0]" in err
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("weights", "1_000"),  # digit-group separators
+        ("weights", "\u0661\u0662"),  # Arabic-Indic digits for 12
+        ("weights", "\uff11"),  # fullwidth digit one
+        ("weights", "0x10"),
+        ("weights", "1e3"),
+        ("weights", "++1"),
+        ("weights", ""),
+        ("sign", "\u0661"),
+        ("coefficients", "1_0/3"),
+        ("coefficients", "\u0661/\u0662"),
+        ("coefficients", "1.5"),
+        ("coefficients", "1/-2"),
+        ("coefficients", "1/0"),
+    ],
+)
+def test_non_decimal_strings_are_input_errors(capsys, monkeypatch, field, text):
+    point = {"weights": ["1"], "sign": "1"}
+    doc = {"n": "1", "points": [point, {"weights": ["-1"], "sign": "1"}]}
+    command = "verify"
+    if field == "coefficients":
+        doc["genus"] = {"name": "custom", "coefficients": ["1/2", text]}
+        command = "series"
+    else:
+        point[field] = [text] if field == "weights" else text
+    status, out, err = run_cli(
+        capsys, [command, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch
+    )
+    assert status == 2 and out == ""
+    assert field in err
+
+
+def test_decimal_strings_keep_sign_and_fraction_forms(capsys, monkeypatch):
+    doc = document(1, [(("+4",), "+1"), (("-4",), " 1 ")])
+    doc = json.loads(doc)
+    doc["genus"] = {"name": "custom", "coefficients": ["-1/2", " +3/4 ", "0"]}
+    status, out, _ = run_cli(capsys, ["series", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert status == 0
+    assert json.loads(out)["verdict"] == "constant"
+
+
+def test_verify_work_guard_exits_two_fast(capsys, monkeypatch):
+    # two points with the 30 distinct weights 2^0..2^29 would take hours
+    weights = [2**i for i in range(30)]
+    doc = document(30, [(weights, 1), ([-w for w in weights], 1)])
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["verify", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == ""
+    assert "work estimate" in err and "exceeds the bound" in err
 
 
 def test_verify_malformed_json_reports_position(capsys, monkeypatch):
@@ -263,6 +321,51 @@ def test_search_jobs_flag_matches_sequential(capsys):
     _, sequential, _ = run_cli(capsys, base + ["--jobs", "1"])
     _, parallel, _ = run_cli(capsys, base + ["--jobs", "2"])
     assert sequential == parallel
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    shards in this process, so no worker is ever started."""
+
+    created = []
+
+    def __init__(self, max_workers=None, **_):
+        RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_search_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.created.clear()
+    base = ["search", "--n", "2", "--m", "2", "--max-weight", "2"]
+    _, sequential, _ = run_cli(capsys, base + ["--jobs", "1"])
+    status, capped, _ = run_cli(capsys, base + ["--jobs", "100000"])
+    assert status == 0 and capped == sequential
+    assert all(workers <= (os.cpu_count() or 1) for workers in RecordingPool.created)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_jobs_below_one_exits_two(capsys, monkeypatch, jobs):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.created.clear()
+    status, out, err = run_cli(
+        capsys, ["search", "--n", "1", "--m", "2", "--max-weight", "2", "--jobs", jobs]
+    )
+    assert status == 2 and out == ""
+    assert "jobs" in err
+    assert RecordingPool.created == []
 
 
 def test_search_table_format(capsys):

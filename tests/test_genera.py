@@ -1,22 +1,23 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from math import prod
+from operator import or_
 
 import pytest
 
 from conftest import random_data
-from txyrigid.algebra import FactoredFraction, LaurentZ, PolyXY, fraction_is_constant
+from txyrigid.algebra import LaurentZ, PolyXY
 from txyrigid.classify import make_l1, make_s3, make_z
 from txyrigid.genera import (
+    MAX_DEFECT_WORK,
     FixedPoint,
     FixedPointData,
     ah_constant,
     is_rigid,
     limit_symmetry,
-    point_term,
     rigidity_defect,
-    rigidity_sum,
-    specialize,
-    substitute_x_pow,
     weight_gcd,
 )
 
@@ -37,70 +38,101 @@ def fraction_value(data: FixedPointData, z0: Fraction, x0: Fraction, y0: Fractio
     return total
 
 
-def evaluate(fraction: FactoredFraction, z0, x0, y0) -> Fraction:
-    num = fraction.numerator.eval_z(z0).substitute(x0, y0)
-    den = Fraction(1)
-    for a in fraction.denominator:
-        den *= Fraction(z0) ** a - 1
-    return num / den
+def cleared_value(data: FixedPointData, z0: Fraction, x0: Fraction) -> Fraction:
+    """The oracle for the defect at y = 1: (sum - AH) times the product of
+    (z^a - 1) over the least common multiset of the points' magnitudes."""
+    shared = reduce(or_, (Counter(abs(w) for w in p.weights) for p in data.points))
+    den = prod(z0**a - 1 for a in shared.elements())
+    ah = ah_constant(data).substitute(x0, 1)
+    return (fraction_value(data, z0, x0, Fraction(1)) - ah) * den
 
 
-# -- point_term --------------------------------------------------------------
+def evaluate(defect: LaurentZ, z0, x0) -> Fraction:
+    z0, x0 = Fraction(z0), Fraction(x0)
+    return sum(
+        (z0**k * sum(c * x0**i for i, c in coeff.items()) for k, coeff in defect.terms.items()),
+        Fraction(0),
+    )
+
+
+# -- one fixed point: its term (x z^w + y)/(z^w - 1) seen through the defect --
 
 
 def test_point_term_single_positive_weight():
-    f = point_term(FixedPoint((4,), 1))
-    assert f.numerator == LaurentZ({4: X, 0: Y})
-    assert f.denominator == (4,)
+    # (x z^4 + 1) - x (z^4 - 1) = 1 + x
+    defect = rigidity_defect(FixedPointData(1, (FixedPoint((4,), 1),)))
+    assert defect == LaurentZ({0: {0: 1, 1: 1}})
 
 
 def test_point_term_single_negative_weight():
-    f = point_term(FixedPoint((-4,), 1))
-    assert f.numerator == LaurentZ({0: -X, 4: -Y})
-    assert f.denominator == (4,)
+    # -(x + z^4) - (-1)(z^4 - 1) = -1 - x
+    defect = rigidity_defect(FixedPointData(1, (FixedPoint((-4,), 1),)))
+    assert defect == LaurentZ({0: {0: -1, 1: -1}})
 
 
 def test_point_term_mixed_weights_negative_sign():
-    # (1, -1; -1): the two sign flips cancel, leaving (xz + y)(x + yz)/(z-1)^2
-    f = point_term(FixedPoint((1, -1), -1))
-    expected = LaurentZ({1: X, 0: Y}) * LaurentZ({0: X, 1: Y})
-    assert f.numerator == expected
-    assert f.denominator == (1, 1)
-    # numeric oracle at z=2, x=3, y=5
+    # (1, -1; -1): the two sign flips cancel, leaving (xz + 1)(x + z) over
+    # (z-1)^2; the constant is -x*(-y) = x y
     data = FixedPointData(2, (FixedPoint((1, -1), -1),))
-    assert evaluate(f, 2, 3, 5) == fraction_value(data, Fraction(2), Fraction(3), Fraction(5))
+    numerator = LaurentZ({1: {1: 1}, 0: 1}) * LaurentZ({0: {1: 1}, 1: 1})
+    denominator = LaurentZ({1: 1, 0: -1}) * LaurentZ({1: 1, 0: -1})
+    assert rigidity_defect(data) == numerator - LaurentZ({0: {1: 1}}) * denominator
+    # numeric oracle at z=2, x=3
+    assert evaluate(rigidity_defect(data), 2, 3) == cleared_value(data, Fraction(2), Fraction(3))
 
 
 def test_point_term_matches_numeric_oracle_randomized():
     rng = random.Random(11)
     for _ in range(25):
         data = random_data(rng, m=1, max_abs=4, n_max=3)
-        f = point_term(data.points[0])
+        defect = rigidity_defect(data)
         for z0 in (Fraction(2), Fraction(3, 2), Fraction(-2)):
-            assert evaluate(f, z0, Fraction(3), Fraction(5)) == fraction_value(
-                data, z0, Fraction(3), Fraction(5)
-            )
+            assert evaluate(defect, z0, Fraction(3, 5)) == cleared_value(data, z0, Fraction(3, 5))
 
 
-# -- rigidity_sum ------------------------------------------------------------
+# -- the fixed-point sum over all points ---------------------------------------
 
 
 def test_rigidity_sum_l1_is_constant_fraction():
     for a in (1, 3, 7):
-        total = rigidity_sum(make_l1(a))
-        assert total.denominator == (a,)
-        assert total.numerator == LaurentZ.from_poly(X - Y) * LaurentZ({a: ONE, 0: -ONE})
-        assert total.is_constant() == X - Y
+        report = is_rigid(make_l1(a))
+        assert report.defect.is_zero()
+        assert report.constant == X - Y
 
 
 def test_rigidity_sum_z_family_vanishes():
-    total = rigidity_sum(make_z((1, -2, 3)))
-    assert total.numerator.is_zero()
+    data = make_z((1, -2, 3))
+    assert rigidity_defect(data).is_zero()
+    assert ah_constant(data).is_zero()
 
 
 def test_rigidity_sum_single_point_not_constant():
-    total = rigidity_sum(FixedPointData(1, (FixedPoint((1,), 1),)))
-    assert total.is_constant() is None
+    assert not rigidity_defect(FixedPointData(1, (FixedPoint((1,), 1),))).is_zero()
+
+
+def test_defect_matches_numeric_oracle_randomized():
+    # several points over the least common multiset of their denominators
+    rng = random.Random(16)
+    for _ in range(40):
+        data = random_data(rng, max_abs=4, n_max=3)
+        defect = rigidity_defect(data)
+        for z0 in (Fraction(2), Fraction(-3, 2)):
+            for x0 in (Fraction(3), Fraction(-2, 7)):
+                assert evaluate(defect, z0, x0) == cleared_value(data, z0, x0)
+
+
+def test_defect_keeps_unpaired_denominators():
+    # (1) and (2) share no factor: the defect is cleared over (z-1)(z^2-1),
+    # so it has the z-support of that least common multiset
+    data = FixedPointData(1, (FixedPoint((1,), 1), FixedPoint((2,), 1)))
+    defect = rigidity_defect(data)
+    expected = (
+        LaurentZ({1: {1: 1}, 0: 1}) * LaurentZ({2: 1, 0: -1})
+        + LaurentZ({2: {1: 1}, 0: 1}) * LaurentZ({1: 1, 0: -1})
+        - LaurentZ({0: {1: 2}}) * LaurentZ({1: 1, 0: -1}) * LaurentZ({2: 1, 0: -1})
+    )
+    assert defect == expected
+    assert defect.term_count() == 3
 
 
 # -- ah_constant -------------------------------------------------------------
@@ -130,13 +162,9 @@ def test_defect_nonzero_with_numeric_oracle():
     data = FixedPointData(2, (FixedPoint((1, 2), 1), FixedPoint((-1, -2), 1)))
     defect = rigidity_defect(data)
     assert not defect.is_zero()
-    # evaluate the fixed-point sum at z=2 with x, y formal and compare
-    total = rigidity_sum(data)
-    den = Fraction(1)
-    for a in total.denominator:
-        den *= Fraction(2) ** a - 1
-    lhs_value = total.numerator.eval_z(2) * (Fraction(1) / den)
-    assert lhs_value != ah_constant(data)
+    # the fixed-point sum at z=2, x=3, y=1 differs from the constant
+    assert fraction_value(data, Fraction(2), Fraction(3), Fraction(1)) != ah_constant(data).substitute(3, 1)
+    assert evaluate(defect, 2, 3) == cleared_value(data, Fraction(2), Fraction(3))
 
 
 def test_is_rigid_examples():
@@ -193,60 +221,47 @@ def test_limit_symmetry_equivalent_formulation():
         assert limit_symmetry(data) == (ah == swapped)
 
 
-# -- specialize / substitute_x_pow -------------------------------------------
+# -- the y = 0 specialization: the x^n part of the y = 1 defect ----------------
 
 
-def test_specialize_l1_at_ones():
-    total = specialize(rigidity_sum(make_l1(1)), 1, 1)
-    assert total.numerator.is_zero()
+def y_zero_part(defect: LaurentZ, n: int) -> dict:
+    return {k: c[n] for k, c in defect.terms.items() if n in c}
 
 
 def test_specialize_s3_balance_at_y_zero():
-    # equal weight-group sums make the y=0 numerator collapse entirely
-    total = specialize(rigidity_sum(make_s3(1, 1)), 1, 0)
-    assert total.numerator.is_zero()
+    # equal weight-group sums make the y=0 part collapse entirely
+    assert y_zero_part(rigidity_defect(make_s3(1, 1)), 3) == {}
 
 
 def test_specialize_unbalanced_at_y_zero():
     data = FixedPointData(2, (FixedPoint((3, -2), 1), FixedPoint((-3, 2), 1)))
-    total = specialize(rigidity_sum(data), 1, 0)
-    assert not total.numerator.is_zero()
+    assert y_zero_part(rigidity_defect(data), 2) != {}
 
 
-def test_specialize_at_origin_kills_numerator():
+def test_defect_is_dehomogenized_degree_n():
+    # every z-coefficient comes from a form of degree n in x and y
     rng = random.Random(14)
-    for _ in range(10):
+    for _ in range(20):
         data = random_data(rng, max_abs=3)
-        assert specialize(rigidity_sum(data), 0, 0).numerator.is_zero()
+        for coeff in rigidity_defect(data).terms.values():
+            assert all(0 <= i <= data.n for i in coeff)
+            assert all(type(c) is int for c in coeff.values())
 
 
-def test_substitute_x_pow_positive_factor():
-    # (x z^b + y) at x = -z^a, y = 1 becomes 1 - z^{a+b}
-    f = point_term(FixedPoint((2,), 1))
-    g = substitute_x_pow(f, 3)
-    assert g.numerator == LaurentZ({0: ONE, 5: -ONE})
-    assert g.denominator == (2,)
+# -- work guard ------------------------------------------------------------------
 
 
-def test_substitute_x_pow_negative_factor():
-    # -(x + y z^b) at x = -z^a, y = 1 becomes z^a - z^b
-    f = point_term(FixedPoint((-2,), 1))
-    g = substitute_x_pow(f, 3)
-    assert g.numerator == LaurentZ({3: ONE, 2: -ONE})
+def test_work_guard_rejects_many_distinct_weights():
+    weights = tuple(2**i for i in range(30))
+    data = FixedPointData(30, (FixedPoint(weights, 1), FixedPoint(tuple(-w for w in weights), 1)))
+    with pytest.raises(ValueError, match=str(MAX_DEFECT_WORK)):
+        rigidity_defect(data)
 
 
-def test_substitute_x_pow_ah_pattern():
-    # x y^2 - x^2 y at x = -z^a, y = 1 gives -z^a - z^{2a}
-    ah = ah_constant(make_s3(1, 1))
-    f = FactoredFraction(LaurentZ.from_poly(ah), ())
-    for a in (1, 2, 5):
-        g = substitute_x_pow(f, a)
-        assert g.numerator == LaurentZ({a: -ONE, 2 * a: -ONE})
-
-
-def test_substitute_x_pow_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        substitute_x_pow(FactoredFraction.zero(), 0)
+def test_work_guard_admits_large_weights():
+    for a in (10**6, 10**9 + 7):
+        assert is_rigid(make_l1(a)).rigid
+        assert is_rigid(make_s3(a, 3 * a + 1)).rigid
 
 
 # -- symmetry invariants -----------------------------------------------------
@@ -304,7 +319,7 @@ def test_symmetry_invariants_randomized():
 
 def test_rigid_families_round_trip_through_constant_extraction():
     for data in (make_l1(4), make_s3(2, 3), make_z((1, -5, 2))):
-        assert fraction_is_constant(rigidity_sum(data)) == ah_constant(data)
+        assert is_rigid(data).constant == ah_constant(data)
 
 
 def test_weight_gcd():
