@@ -24,10 +24,12 @@ canonical form (no platform width limits).  Reports are JSON with all
 rational values rendered as reduced fraction strings.
 
 Exit codes: 0 rigid / constant / success, 1 completed with a negative
-verdict, 2 input or usage error.  Data whose exact check would exceed the
-work bound ``genera.MAX_DEFECT_WORK`` is an input error, as is
-``search --jobs`` below 1; the search runs at most ``os.cpu_count()``
-workers whatever ``--jobs`` asks for.
+verdict, 2 input or usage error.  Data whose exact check or series would
+exceed its work bound (``genera.MAX_DEFECT_WORK``,
+``series.MAX_SERIES_WORK``) is an input error, as are search bounds above
+``search.MAX_SEARCH_CANDIDATES`` raw candidates and ``search --jobs``
+below 1; the search runs at most ``os.cpu_count()`` workers whatever
+``--jobs`` asks for.
 """
 
 from __future__ import annotations
@@ -391,7 +393,7 @@ def run_search(args) -> int:
             "max_weight": params.max_abs_weight,
             "signs": args.signs,
             "effective_only": params.require_effective,
-            "dedupe": params.dedupe,
+            "dedupe": True,
         },
     }
     if args.format == "json":

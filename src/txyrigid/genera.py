@@ -106,31 +106,49 @@ class GenusReport:
     weight_gcd: int
 
 
-def _signed_monomials(data: FixedPointData, swapped: bool = False):
-    """(x-exponent, y-exponent, integer coefficient) of each point's term
+def _signed_monomial(sign: int, weights, swapped: bool = False) -> tuple[int, int, int]:
+    """(x-exponent, y-exponent, integer coefficient) of the point term
     sign * x^{s+} * (-y)^{s-}, with s+ and s- exchanged when swapped."""
-    for p in data.points:
-        plus, minus = p.s_plus, p.s_minus
-        if swapped:
-            plus, minus = minus, plus
-        yield plus, minus, p.sign if minus % 2 == 0 else -p.sign
+    plus = sum(1 for w in weights if w > 0)
+    minus = len(weights) - plus
+    if swapped:
+        plus, minus = minus, plus
+    return plus, minus, sign if minus % 2 == 0 else -sign
 
 
-def _signed_monomial_sum(data: FixedPointData, swapped: bool) -> PolyXY:
-    return PolyXY(((i, j), c) for i, j, c in _signed_monomials(data, swapped))
+def _signed_monomials(data: FixedPointData) -> list[tuple[int, int, int]]:
+    return [_signed_monomial(p.sign, p.weights) for p in data.points]
 
 
 def ah_constant(data: FixedPointData) -> PolyXY:
     """The Atiyah-Hirzebruch value: sum of sign * x^{s+} * (-y)^{s-} over
     the fixed points."""
-    return _signed_monomial_sum(data, swapped=False)
+    return PolyXY(((i, j), c) for i, j, c in _signed_monomials(data))
+
+
+def limit_terms(sign: int, weights) -> tuple[tuple[int, int, int], ...]:
+    """One point's share of the limit-symmetry condition: its signed
+    monomial and the negated swapped one, as (x-exponent, y-exponent,
+    coefficient) triples."""
+    i, j, c = _signed_monomial(sign, weights)
+    k, h, d = _signed_monomial(sign, weights, swapped=True)
+    return (i, j, c), (k, h, -d)
+
+
+def limits_cancel(point_terms) -> bool:
+    """Whether the points' limit terms (see ``limit_terms``) sum to zero."""
+    total: Counter = Counter()
+    for terms in point_terms:
+        for i, j, c in terms:
+            total[i, j] += c
+    return not any(total.values())
 
 
 def limit_symmetry(data: FixedPointData) -> bool:
     """Necessary condition for rigidity from the z -> infinity and z -> 0
     limits of the fixed-point sum: the signed monomial sum must be
     invariant under swapping each point's positive and negative counts."""
-    return _signed_monomial_sum(data, False) == _signed_monomial_sum(data, True)
+    return limits_cancel(limit_terms(p.sign, p.weights) for p in data.points)
 
 
 def weight_gcd(data: FixedPointData) -> int:

@@ -1,21 +1,25 @@
-"""Canonical enumeration of fixed-point data within bounds, cheap
-necessary-condition pruning, and the exact-rigidity search.
+"""Canonical enumeration of fixed-point data within bounds, the prune
+rule, and the exact-rigidity search.
 
 Candidates are quotiented by the symmetries that leave the rigidity
 question unchanged: permuting points, permuting weights inside a point,
-and negating every weight.  The canonical representative sorts weights
-descending inside each point, sorts the points by (sign, weights), and
-takes the smaller of the datum and its global weight negation.
+and negating every weight.  The canonical key sorts weights descending
+inside each point, sorts the points by (sign, weights), and takes the
+smaller of the datum and its global weight negation.
 
-The pruning ladder is ordered by cost: the limit-symmetry count check,
-the weight-magnitude pairing check (two points only), then the vanishing
-of the series coefficient at the lowest exponent, which for weights
-w_{ij} and signs e_i is the rational condition
+One generator yields the canonical keys, sharded by their first point:
+sorted point multisets minimal under negation, filtered by sign multiset
+(a sign pattern stands for its sorted tuple) and, when asked, by weight
+gcd.  The prune rule runs on keys, from per-point facts, with the rungs
+in order of measured cost: the weight-magnitude pairing check (two points
+only), the limit-symmetry check, then the vanishing of the series
+coefficient at the lowest exponent, which for weights w_{ij} and signs
+e_i is the rational condition
 
     sum_i e_i / prod_j w_{ij} = 0.
 
-Every prune is a proved necessary condition, so no rigid datum is lost;
-survivors are passed to the exact z-domain check.
+Every rung is a proved necessary condition, so no rigid datum is lost;
+only keys that pass become data for the exact z-domain check.
 """
 
 from __future__ import annotations
@@ -23,15 +27,35 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import gcd
-from typing import Iterable, Iterator, Optional
+from itertools import combinations_with_replacement
+from math import gcd, prod
+from typing import Iterator, NamedTuple, Optional
 
 from .classify import FamilyTag, classify_two_points
-from .genera import FixedPoint, FixedPointData, GenusReport, is_rigid, limit_symmetry
+from .genera import FixedPoint, FixedPointData, GenusReport, is_rigid, limit_terms, limits_cancel
+
+# Enumeration guard: SearchParams refuses bounds with more raw candidates
+# (multisets of m points, before the negation quotient) than this.  Desk
+# n = 4 has 1.0e6 and takes seconds; the bound is about a hundred times
+# that.
+MAX_SEARCH_CANDIDATES = 10**8
 
 PointKey = tuple[int, tuple[int, ...]]
 DataKey = tuple[PointKey, ...]
+
+
+def _capped_comb(total: int, k: int, cap: int) -> int:
+    """comb(total, k) when it is at most cap, else a number between cap and
+    comb(total, k), found without computing the full value."""
+    if not 0 <= k <= total:
+        return 0
+    k = min(k, total - k)
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (total - k + i) // i  # comb(total - k + i, i), growing
+        if value > cap:
+            break
+    return value
 
 
 @dataclass(frozen=True)
@@ -41,8 +65,8 @@ class SearchParams:
     ``sign_patterns`` is None for all sign assignments, or an explicit
     tuple of patterns (each a tuple of m entries +1/-1).  With
     ``require_effective`` only data with overall weight gcd 1 is kept.
-    ``dedupe`` yields one representative per canonical class; switching it
-    off gives the raw ordered stream (used by brute-force cross-checks).
+    Bounds with more than MAX_SEARCH_CANDIDATES raw candidates raise
+    ValueError.
     """
 
     n: int
@@ -50,7 +74,6 @@ class SearchParams:
     max_abs_weight: int
     sign_patterns: Optional[tuple[tuple[int, ...], ...]] = None
     require_effective: bool = False
-    dedupe: bool = True
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -63,26 +86,29 @@ class SearchParams:
                 if len(p) != self.m or any(s not in (1, -1) for s in p):
                     raise ValueError("each sign pattern needs m entries of +1/-1")
             object.__setattr__(self, "sign_patterns", patterns)
+        cap = MAX_SEARCH_CANDIDATES
+        points = 2 * _capped_comb(2 * self.max_abs_weight + self.n - 1, self.n, cap)
+        raw = _capped_comb(points + self.m - 1, self.m, cap)
+        if raw > cap:
+            raise ValueError(
+                f"the bounds give at least {raw} raw candidates (multisets of"
+                f" {self.m} points), above the bound {cap}"
+            )
 
 
 def _point_key(point: FixedPoint) -> PointKey:
     return (point.sign, tuple(sorted(point.weights, reverse=True)))
 
 
-def _normalize(points: Iterable[PointKey]) -> DataKey:
-    return tuple(sorted(points))
-
-
-def _negate(key: DataKey) -> DataKey:
-    return _normalize(
-        (sign, tuple(sorted((-w for w in weights), reverse=True)))
-        for sign, weights in key
-    )
+def _negate_point(point: PointKey) -> PointKey:
+    """Negated weights, reversed so that they stay descending."""
+    sign, weights = point
+    return (sign, tuple(-w for w in reversed(weights)))
 
 
 def canonical_key(data: FixedPointData) -> DataKey:
-    base = _normalize(_point_key(p) for p in data.points)
-    return min(base, _negate(base))
+    base = tuple(sorted(_point_key(p) for p in data.points))
+    return min(base, tuple(sorted(map(_negate_point, base))))
 
 
 def canonical_form(data: FixedPointData) -> FixedPointData:
@@ -94,99 +120,72 @@ def _data_from_key(n: int, key: DataKey) -> FixedPointData:
     return FixedPointData(n, tuple(FixedPoint(weights, sign) for sign, weights in key))
 
 
-def _effective_key(key: DataKey) -> bool:
-    g = 0
-    for _, weights in key:
-        for w in weights:
-            g = gcd(g, abs(w))
-    return g == 1
+def _points(params: SearchParams) -> list[PointKey]:
+    """Every point key within the bound, sorted."""
+    bound = params.max_abs_weight
+    values = list(range(bound, 0, -1)) + list(range(-1, -bound - 1, -1))
+    return sorted(
+        (sign, weights)
+        for weights in combinations_with_replacement(values, params.n)
+        for sign in (1, -1)
+    )
 
 
-def _weight_tuples(n: int, max_abs: int) -> list[tuple[int, ...]]:
-    values = list(range(max_abs, 0, -1)) + list(range(-1, -max_abs - 1, -1))
-    return list(combinations_with_replacement(values, n))
-
-
-def _enumerate_shard(params: SearchParams, shard: int, shards: int) -> Iterator[FixedPointData]:
-    n, m = params.n, params.m
-    if params.sign_patterns is None and params.dedupe:
-        # direct canonical generation: sorted point multisets, keep the
-        # representative that is minimal under global weight negation
-        points = sorted(
-            (sign, weights)
-            for weights in _weight_tuples(n, params.max_abs_weight)
-            for sign in (1, -1)
-        )
-        for first, head in enumerate(points):
-            if first % shards != shard:
+def _enumerate_shard(params: SearchParams, shard: int, shards: int) -> Iterator[DataKey]:
+    """The canonical keys whose first point has an index congruent to
+    ``shard`` modulo ``shards`` in the sorted point list."""
+    points = _points(params)
+    index = {point: i for i, point in enumerate(points)}
+    negated = [index[_negate_point(point)] for point in points]
+    patterns = params.sign_patterns
+    signs = None if patterns is None else {tuple(sorted(p)) for p in patterns}
+    for first in range(shard, len(points), shards):
+        for rest in combinations_with_replacement(range(first, len(points)), params.m - 1):
+            chosen = (first, *rest)
+            # indices order like the keys they stand for
+            if tuple(sorted([negated[i] for i in chosen])) < chosen:
                 continue
-            for rest in combinations_with_replacement(points[first:], m - 1):
-                key = (head, *rest)
-                if _negate(key) < key:
-                    continue
-                if params.require_effective and not _effective_key(key):
-                    continue
-                yield _data_from_key(n, key)
-    elif params.sign_patterns is None:
-        # raw stream: ordered weight tuples, ordered points, all signs
-        values = [w for w in range(-params.max_abs_weight, params.max_abs_weight + 1) if w]
-        raw_points = [
-            (sign, weights)
-            for weights in product(values, repeat=n)
-            for sign in (1, -1)
-        ]
-        for first, head in enumerate(raw_points):
-            if first % shards != shard:
+            key = tuple(points[i] for i in chosen)
+            if signs is not None and tuple(sign for sign, _ in key) not in signs:
                 continue
-            for rest in product(raw_points, repeat=m - 1):
-                key = (head, *rest)
-                if params.require_effective and not _effective_key(key):
-                    continue
-                yield _data_from_key(n, key)
-    else:
-        seen: set[DataKey] = set()
-        tuples = _weight_tuples(n, params.max_abs_weight)
-        for first, head in enumerate(tuples):
-            if first % shards != shard:
+            if params.require_effective and gcd(*(w for _, ws in key for w in ws)) != 1:
                 continue
-            for rest in product(tuples, repeat=m - 1):
-                weight_lists = (head, *rest)
-                for pattern in params.sign_patterns:
-                    key = tuple(zip(pattern, weight_lists))
-                    if params.dedupe:
-                        base = _normalize(key)
-                        canon = min(base, _negate(base))
-                        if canon in seen:
-                            continue
-                        seen.add(canon)
-                        key = canon
-                    if params.require_effective and not _effective_key(key):
-                        continue
-                    yield _data_from_key(n, key)
+            yield key
 
 
 def enumerate_data(params: SearchParams) -> Iterator[FixedPointData]:
-    """Deterministic candidate stream; with dedupe one representative per
-    canonical class, otherwise the raw ordered stream."""
-    return _enumerate_shard(params, 0, 1)
+    """Deterministic candidate stream, one datum per canonical class."""
+    return (_data_from_key(params.n, key) for key in _enumerate_shard(params, 0, 1))
+
+
+class _PointFacts(NamedTuple):
+    magnitudes: tuple[int, ...]
+    limit: tuple[tuple[int, int, int], ...]
+    principal: Fraction
+
+
+def _point_facts(sign: int, weights: tuple[int, ...]) -> _PointFacts:
+    return _PointFacts(
+        tuple(sorted(abs(w) for w in weights)),
+        limit_terms(sign, weights),
+        Fraction(sign, prod(weights)),
+    )
+
+
+def _keeps(facts: list[_PointFacts]) -> bool:
+    """The prune rule on the facts of a datum's points, cheapest rung
+    first: pairing (two points), limit symmetry, principal part."""
+    if len(facts) == 2 and facts[0].magnitudes != facts[1].magnitudes:
+        return False
+    if not limits_cancel(f.limit for f in facts):
+        return False
+    return sum(f.principal for f in facts) == 0
 
 
 def prune(data: FixedPointData) -> bool:
     """True = keep.  False only when a proved necessary condition for
     rigidity fails, so pruning never loses rigid data."""
-    if not limit_symmetry(data):
-        return False
-    if data.m == 2:
-        first, second = data.points
-        if sorted(abs(w) for w in first.weights) != sorted(abs(w) for w in second.weights):
-            return False
-    principal = Fraction(0)
-    for point in data.points:
-        denom = 1
-        for w in point.weights:
-            denom *= w
-        principal += Fraction(point.sign, denom)
-    return principal == 0
+    return _keeps([_point_facts(p.sign, p.weights) for p in data.points])
 
 
 @dataclass(frozen=True)
@@ -212,14 +211,16 @@ class SearchOutcome:
 
 def _search_shard(args) -> tuple[list, int, int, int]:
     params, shard, shards = args
+    facts = {point: _point_facts(*point) for point in _points(params)}
     results = []
     candidates = pruned = checked = 0
-    for data in _enumerate_shard(params, shard, shards):
+    for key in _enumerate_shard(params, shard, shards):
         candidates += 1
-        if not prune(data):
+        if not _keeps([facts[point] for point in key]):
             pruned += 1
             continue
         checked += 1
+        data = _data_from_key(params.n, key)
         report = is_rigid(data)
         if report.rigid:
             family = classify_two_points(data) if data.m == 2 else None
@@ -236,10 +237,7 @@ def search_rigid(params: SearchParams, jobs: int = 1) -> SearchOutcome:
     processes run, however large it is."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    shards = 1
-    if params.sign_patterns is None:
-        # fixed sign patterns keep a shared dedupe set; leave them unsharded
-        shards = min(jobs, os.cpu_count() or 1)
+    shards = min(jobs, os.cpu_count() or 1)
     if shards == 1:
         results, candidates, pruned_count, checked = _search_shard((params, 0, 1))
     else:

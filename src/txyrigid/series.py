@@ -37,6 +37,12 @@ _X = PolyXY.x()
 _Y = PolyXY.y()
 _ONE = PolyXY.one()
 
+# Work guard: genus_series refuses data when its bound on the monomial
+# products of the expansion exceeds this.  Two points with n distinct
+# weights at order n + 1 first exceed it at n = 15; admitted data takes at
+# most a few seconds.
+MAX_SERIES_WORK = 1 << 20
+
 
 @lru_cache(maxsize=4096)
 def txy_factor_series(w: int, order: int) -> SeriesU:
@@ -128,10 +134,22 @@ def genus_from_coefficients(name: str, coefficients) -> GenusSeries:
 def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> SeriesU:
     """The candidate's equivariant genus as a truncated series: the signed
     sum over fixed points of the product of weight factors.  Retains
-    exponents from -n up to order - 1."""
+    exponents from -n up to order - 1.
+
+    Before any product, the work is bounded from m, n and the working
+    length: the j-th of a point's n factor products multiplies at most
+    work^2 coefficient pairs of at most j and 2 monomials (TXY; other
+    genera have one each), so m * n(n + 1) * work^2 bounds the monomial
+    products.  A bound above MAX_SERIES_WORK raises ValueError."""
     if order < data.n + 1:
         raise ValueError("order must be at least n + 1")
     work = order + 2 * data.n + 6
+    estimate = data.m * data.n * (data.n + 1) * work * work
+    if estimate > MAX_SERIES_WORK:
+        raise ValueError(
+            f"series work estimate {estimate} monomial products exceeds"
+            f" the bound {MAX_SERIES_WORK}"
+        )
     total = SeriesU.zero(-data.n, order)
     for point in data.points:
         product = SeriesU.const(_ONE, work)

@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from math import gcd
 
 from txyrigid import FixedPoint, FixedPointData
 
@@ -13,3 +15,21 @@ def random_data(rng: random.Random, n=None, m=None, max_abs=6, n_max=4, m_max=3)
         for _ in range(m)
     )
     return FixedPointData(n, points)
+
+
+def raw_stream(n, m, max_abs, sign_patterns=None, require_effective=False):
+    """Brute-force reference for the search enumeration: every ordered
+    tuple of m points with ordered weights, in all sign assignments or in
+    the given ordered sign patterns, with no quotient."""
+    values = [w for w in range(-max_abs, max_abs + 1) if w]
+    raw_points = [
+        (sign, weights)
+        for weights in product(values, repeat=n)
+        for sign in (1, -1)
+    ]
+    for key in product(raw_points, repeat=m):
+        if sign_patterns is not None and tuple(s for s, _ in key) not in sign_patterns:
+            continue
+        if require_effective and gcd(*(w for _, ws in key for w in ws)) != 1:
+            continue
+        yield FixedPointData(n, tuple(FixedPoint(weights, sign) for sign, weights in key))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -130,6 +131,18 @@ def test_verify_work_guard_exits_two_fast(capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert status == 2 and out == ""
     assert "work estimate" in err and "exceeds the bound" in err
+
+
+def test_series_work_guard_exits_two_fast(capsys, monkeypatch):
+    weights = [2**i for i in range(30)]
+    doc = document(30, [(weights, 1), ([-w for w in weights], 1)])
+    start = time.perf_counter()
+    status, out, err = run_cli(
+        capsys, ["series", "-", "--order", "31"], stdin=doc, monkeypatch=monkeypatch
+    )
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == ""
+    assert "series work estimate" in err and "exceeds the bound" in err
 
 
 def test_verify_malformed_json_reports_position(capsys, monkeypatch):
@@ -366,6 +379,45 @@ def test_search_jobs_below_one_exits_two(capsys, monkeypatch, jobs):
     assert status == 2 and out == ""
     assert "jobs" in err
     assert RecordingPool.created == []
+
+
+def test_search_enumeration_guard_exits_two_fast(capsys):
+    # 15,777,450 points, about 1.2e14 candidate pairs
+    start = time.perf_counter()
+    status, out, err = run_cli(
+        capsys, ["search", "--n", "8", "--m", "2", "--max-weight", "12"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == ""
+    assert "raw candidates" in err and "above the bound" in err
+
+
+PINNED_SEARCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "perfbench", "expected", "search.json",
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        *(f"search --m 2 --max-weight 5 --n {n} --signs all --jobs 1" for n in (1, 2, 3)),
+        "search --m 3 --n 2 --max-weight 4",
+        "search --m 2 --n 3 --max-weight 5 --signs ++,+-",
+        "search --m 2 --max-weight 3 --n 5 --jobs 2",
+    ],
+)
+def test_search_matches_pinned_outputs(capsys, call):
+    with open(PINNED_SEARCH, encoding="utf-8") as handle:
+        want = json.load(handle)[call]
+    status, out, _ = run_cli(capsys, call.split())
+    records = [json.loads(line) for line in out.splitlines()]
+    results, summary = records[:-1], records[-1]
+    # the digest rule of the benchmark's pinned search outputs
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert status == want["exit"]
+    assert (summary["candidates"], summary["rigid"]) == (want["candidates"], want["rigid"])
+    assert digest == want["records_sha256"]
 
 
 def test_search_table_format(capsys):

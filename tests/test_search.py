@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import random_data
+from conftest import random_data, raw_stream
 from txyrigid.classify import make_l1, make_s3, make_z
 from txyrigid.genera import FixedPoint, FixedPointData, is_rigid
 from txyrigid.search import (
+    MAX_SEARCH_CANDIDATES,
     SearchParams,
     canonical_form,
     canonical_key,
@@ -64,21 +65,33 @@ def test_enumerate_tiny_range_against_brute_force():
     assert len(enumerated) == 6  # derived by quotienting the 10 raw pairs by negation
     keys = {canonical_key(d) for d in enumerated}
     assert len(keys) == 6
-    raw = SearchParams(n=1, m=2, max_abs_weight=1, dedupe=False)
-    brute = {canonical_key(d) for d in enumerate_data(raw)}
+    brute = {canonical_key(d) for d in raw_stream(1, 2, 1)}
     assert keys == brute
     assert canonical_key(make_z((1,))) in keys
     assert canonical_key(make_l1(1)) in keys
 
 
 def test_enumerate_matches_brute_force_quotient():
-    for n, m, w in ((1, 1, 2), (2, 2, 1), (1, 2, 2)):
-        params = SearchParams(n=n, m=m, max_abs_weight=w)
+    for params in (
+        SearchParams(n=1, m=1, max_abs_weight=2),
+        SearchParams(n=2, m=2, max_abs_weight=1),
+        SearchParams(n=1, m=2, max_abs_weight=2),
+        SearchParams(n=2, m=2, max_abs_weight=2, sign_patterns=((1, 1), (1, -1))),
+        # one sign multiset written twice
+        SearchParams(n=2, m=2, max_abs_weight=2, sign_patterns=((1, -1), (-1, 1))),
+        SearchParams(n=2, m=2, max_abs_weight=2, require_effective=True),
+        SearchParams(n=1, m=3, max_abs_weight=2),
+        SearchParams(
+            n=2, m=3, max_abs_weight=1, sign_patterns=((1, 1, -1),), require_effective=True
+        ),
+    ):
         enumerated = [canonical_key(d) for d in enumerate_data(params)]
         assert len(enumerated) == len(set(enumerated))  # no duplicates
-        raw = SearchParams(n=n, m=m, max_abs_weight=w, dedupe=False)
-        brute = {canonical_key(d) for d in enumerate_data(raw)}
-        assert set(enumerated) == brute
+        raw = raw_stream(
+            params.n, params.m, params.max_abs_weight,
+            params.sign_patterns, params.require_effective,
+        )
+        assert set(enumerated) == {canonical_key(d) for d in raw}
 
 
 def test_enumerate_single_point_classes():
@@ -119,6 +132,11 @@ def test_search_params_validation():
         SearchParams(n=1, m=1, max_abs_weight=-1)
     with pytest.raises(ValueError):
         SearchParams(n=1, m=2, max_abs_weight=1, sign_patterns=((1,),))
+    # n = 8, W = 12 has about 1.2e14 raw candidates; n = W = 10^6 must be
+    # refused without computing its full binomial counts
+    for n, w in ((8, 12), (10**6, 10**6)):
+        with pytest.raises(ValueError, match=str(MAX_SEARCH_CANDIDATES)):
+            SearchParams(n=n, m=2, max_abs_weight=w)
 
 
 # -- pruning ---------------------------------------------------------------------
@@ -174,9 +192,8 @@ def test_search_completeness_against_unpruned_brute_force():
     for n in (1, 2):
         params = SearchParams(n=n, m=2, max_abs_weight=3)
         found = {canonical_key(r.data) for r in search_rigid(params).results}
-        raw = SearchParams(n=n, m=2, max_abs_weight=3, dedupe=False)
         expected = {
-            canonical_key(d) for d in enumerate_data(raw) if is_rigid(d).rigid
+            canonical_key(d) for d in raw_stream(n, 2, 3) if is_rigid(d).rigid
         }
         assert found == expected
 
@@ -195,10 +212,13 @@ def test_search_deterministic():
 
 
 def test_search_jobs_match_sequential():
-    params = SearchParams(n=2, m=2, max_abs_weight=3)
-    sequential = search_rigid(params, jobs=1)
-    parallel = search_rigid(params, jobs=3)
-    assert sequential == parallel
+    for params in (
+        SearchParams(n=2, m=2, max_abs_weight=3),
+        SearchParams(n=2, m=2, max_abs_weight=3, sign_patterns=((1, 1), (1, -1))),
+    ):
+        sequential = search_rigid(params, jobs=1)
+        parallel = search_rigid(params, jobs=3)
+        assert sequential == parallel
 
 
 def test_search_counts_are_consistent():
