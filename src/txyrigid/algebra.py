@@ -22,11 +22,6 @@ from typing import Iterable, Mapping, Optional, Union
 Scalar = Union[int, Fraction]
 
 
-class UnsupportedDivisionError(ArithmeticError):
-    """A series division step needed an inverse that does not exist in the
-    polynomial coefficient ring."""
-
-
 def _fraction(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
@@ -109,27 +104,6 @@ class PolyXY:
     def sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
         """Terms in the canonical (x-exponent, y-exponent) order."""
         return sorted(self.terms.items())
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def single_term(self) -> tuple[tuple[int, int], Fraction]:
-        ((key, c),) = self.terms.items()
-        return key, c
-
-    def as_constant(self) -> Optional[Fraction]:
-        """The value as a plain rational, or None if x or y occurs."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and (0, 0) in self.terms:
-            return self.terms[(0, 0)]
-        return None
-
-    def total_degree(self) -> int:
-        """Largest i + j over the terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(i + j == degree for i, j in self.terms)
@@ -253,47 +227,6 @@ class PolyXY:
         return f"PolyXY({self})"
 
 
-def poly_div_exact(numerator: PolyXY, divisor: PolyXY) -> Optional[PolyXY]:
-    """Exact polynomial division; returns None when the quotient is not a
-    polynomial.
-
-    A single-term divisor is handled directly; otherwise sparse long
-    division in the lexicographic term order is attempted, giving up on
-    the first non-dividing step.
-    """
-    if divisor.is_zero():
-        return None
-    if numerator.is_zero():
-        return PolyXY.zero()
-    if divisor.is_monomial():
-        (di, dj), dc = divisor.single_term()
-        out = {}
-        for (i, j), c in numerator.terms.items():
-            if i < di or j < dj:
-                return None
-            out[(i - di, j - dj)] = c / dc
-        return PolyXY._raw(out)
-    lead = max(divisor.terms)
-    lead_c = divisor.terms[lead]
-    remainder = dict(numerator.terms)
-    quotient: dict[tuple[int, int], Fraction] = {}
-    while remainder:
-        (i, j) = max(remainder)
-        qi, qj = i - lead[0], j - lead[1]
-        if qi < 0 or qj < 0:
-            return None
-        qc = remainder[(i, j)] / lead_c
-        quotient[(qi, qj)] = qc
-        for (a, b), dc in divisor.terms.items():
-            key = (a + qi, b + qj)
-            nc = remainder.get(key, Fraction(0)) - qc * dc
-            if nc:
-                remainder[key] = nc
-            else:
-                remainder.pop(key, None)
-    return PolyXY._raw(quotient)
-
-
 class LaurentZ:
     """Laurent polynomial in the formal variable z whose coefficients are
     integer polynomials in x.
@@ -396,8 +329,8 @@ class SeriesU:
     ``lowest`` .. ``order - 1``.
 
     Coefficients below ``lowest`` are exactly zero; coefficients at
-    ``order`` and above are unknown.  Arithmetic tracks how far results
-    stay exact and truncates accordingly.
+    ``order`` and above are unknown.  A product keeps only the exponents
+    both factors determine.
     """
 
     lowest: int
@@ -414,13 +347,6 @@ class SeriesU:
     def zero(cls, lowest: int = 0, order: int = 1) -> "SeriesU":
         return cls(lowest, order, (_ZERO_POLY,) * (order - lowest))
 
-    @classmethod
-    def const(cls, value: Union[PolyXY, Scalar], order: int) -> "SeriesU":
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        p = value if isinstance(value, PolyXY) else PolyXY.const(value)
-        return cls(0, order, (p,) + (_ZERO_POLY,) * (order - 1))
-
     def coeff(self, k: int) -> PolyXY:
         if k < self.lowest:
             return _ZERO_POLY
@@ -428,36 +354,7 @@ class SeriesU:
             raise ValueError(f"exponent {k} is beyond the truncation order {self.order}")
         return self.coeffs[k - self.lowest]
 
-    def valuation(self) -> Optional[int]:
-        for k, c in zip(range(self.lowest, self.order), self.coeffs):
-            if not c.is_zero():
-                return k
-        return None
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other) -> "SeriesU":
-        if not isinstance(other, SeriesU):
-            return NotImplemented
-        lowest = min(self.lowest, other.lowest)
-        order = min(self.order, other.order)
-        if order < lowest:
-            raise ValueError("added series have no common retained range")
-        return SeriesU(
-            lowest, order,
-            tuple(self.coeff(k) + other.coeff(k) for k in range(lowest, order)),
-        )
-
-    def __neg__(self) -> "SeriesU":
-        return SeriesU(self.lowest, self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "SeriesU":
-        if not isinstance(other, SeriesU):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other) -> "SeriesU":
         if isinstance(other, (int, Fraction, PolyXY)):
@@ -484,38 +381,6 @@ class SeriesU:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "SeriesU":
-        """Exact truncated division.
-
-        The divisor's lowest nonzero coefficient must divide exactly at
-        every step (it always does when it is a rational constant);
-        otherwise UnsupportedDivisionError is raised.
-        """
-        if not isinstance(other, SeriesU):
-            return NotImplemented
-        pivot = other.valuation()
-        if pivot is None:
-            raise ZeroDivisionError("series division by zero")
-        lead = other.coeff(pivot)
-        known = other.order - pivot
-        count = min(self.order - self.lowest, known)
-        start = self.lowest - pivot
-        shifted = [other.coeff(pivot + t) for t in range(known)]
-        quotient: list[PolyXY] = []
-        for k in range(count):
-            acc = self.coeffs[k]
-            for j in range(max(0, k - known + 1), k):
-                gj = shifted[k - j]
-                if not gj.is_zero() and not quotient[j].is_zero():
-                    acc = acc - quotient[j] * gj
-            step = poly_div_exact(acc, lead)
-            if step is None:
-                raise UnsupportedDivisionError(
-                    "series division needs a non-polynomial inverse"
-                )
-            quotient.append(step)
-        return SeriesU(start, start + count, tuple(quotient))
-
     def truncate(self, lowest: Optional[int] = None, order: Optional[int] = None) -> "SeriesU":
         new_lowest = self.lowest if lowest is None else lowest
         new_order = self.order if order is None else order
@@ -531,14 +396,6 @@ class SeriesU:
             new_lowest, new_order,
             tuple(self.coeff(k) for k in range(new_lowest, new_order)),
         )
-
-    def __str__(self) -> str:
-        rows = []
-        for k in range(self.lowest, self.order):
-            c = self.coeff(k)
-            if not c.is_zero():
-                rows.append(f"({c})*u^{k}" if k else f"({c})")
-        return " + ".join(rows) if rows else "0"
 
 
 def series_exp(c: Union[PolyXY, Scalar], order: int) -> SeriesU:

@@ -152,11 +152,13 @@ def document_genus(doc: dict, override: Optional[str]) -> GenusSeries:
         name = entry["name"]
     if not isinstance(name, str):
         raise InputError("genus.name: expected a string")
-    if name == "txy":
-        return TXY
-    if name == "todd":
-        return TODD
-    coeffs = entry.get("coefficients") if isinstance(entry, dict) else None
+    coeffs = entry.get("coefficients")
+    if name in ("txy", "todd"):
+        if coeffs is not None:
+            raise InputError(
+                f"genus.coefficients: the built-in genus {name!r} takes no coefficient list"
+            )
+        return TXY if name == "txy" else TODD
     if coeffs is None:
         raise InputError(
             f"genus.name: unknown genus {name!r} and no coefficient list given"

@@ -7,20 +7,38 @@ is the expansion of H(w*u)/(w*u) about u = 0, which has a simple pole
 with residue 1/w; a fixed point contributes the signed product of its
 weight factors, and the candidate's series is the sum over points.
 
+Every expansion rests on one rational series, the Bernoulli expansion
+
+    g(s) = 1/(e^s - 1) = sum_k B_k s^(k-1) / k!     (B_1 = -1/2).
+
 For the two-parameter genus
 
     H(u)/u = (x*e^{(x+y)u} + y) / (e^{(x+y)u} - 1)
 
-all expansions are carried out in the scaled variable t = (x+y)*u, which
-keeps every coefficient polynomial: the stored coefficient of t^k is the
-true u^k coefficient divided by (x+y)^k.  Constancy is unaffected by the
-scaling (the coefficient ring has no zero divisors) and the constant term
-itself carries no scaling unit, so verdict and constant can be compared
-directly with the exact z-domain checker.
+all expansions are carried out in the scaled variable t = (x+y)*u, where
+a weight factor is x + (x+y)*g(w*t).  A point with weights w_1 .. w_n
+therefore contributes
+
+    sign * sum_k x^(n-k) (x+y)^k e_k(g(w_1 t), .., g(w_n t)),
+
+with e_k the elementary symmetric functions.  The n + 1 series e_k have
+rational coefficients; they are summed over the points first, and x and
+y enter only when the result is assembled, one polynomial per exponent.
+The stored coefficient of t^k is the true u^k coefficient divided by
+(x+y)^k.  Constancy is unaffected by the scaling (the coefficient ring
+has no zero divisors) and the constant term itself carries no scaling
+unit, so verdict and constant can be compared directly with the exact
+z-domain checker.
 
 Rational-coefficient genera (Todd built in, others supplied as explicit
-coefficient lists) are expanded in u itself; the weight enters by the
-substitution u -> w*u, i.e. by scaling the k-th coefficient with w^k.
+coefficient lists) are expanded in u itself, with the same product of
+rational series; the weight enters by the substitution u -> w*u, i.e. by
+scaling the k-th coefficient with w^k.  Todd's coefficients come from the
+same Bernoulli numbers, because 1/(1 - e^{-u}) = 1 + g(u).
+
+No series is ever divided: every factor is a Laurent series with a
+simple pole and known coefficients, so each product is exact up to the
+retained order.
 """
 
 from __future__ import annotations
@@ -28,52 +46,88 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial, lcm
 from typing import Optional
 
-from .algebra import PolyXY, SeriesU, series_exp
+from .algebra import PolyXY, SeriesU
 from .genera import FixedPointData
 
-_X = PolyXY.x()
-_Y = PolyXY.y()
-_ONE = PolyXY.one()
-
-# Work guard: genus_series refuses data when its bound on the monomial
+# Work guard: genus_series refuses data when its bound on the coefficient
 # products of the expansion exceeds this.  Two points with n distinct
 # weights at order n + 1 first exceed it at n = 15; admitted data takes at
 # most a few seconds.
 MAX_SERIES_WORK = 1 << 20
 
 
-@lru_cache(maxsize=4096)
-def txy_factor_series(w: int, order: int) -> SeriesU:
-    """Weight factor of the two-parameter genus, expanded in t = (x+y)*u.
+@lru_cache(maxsize=None)
+def bernoulli(k: int) -> Fraction:
+    """The Bernoulli number B_k, in the convention s/(e^s - 1) =
+    sum_k B_k s^k / k! (so B_1 = -1/2).  Each value is computed once, from
+    the cached lower ones, by sum_{j <= k} C(k + 1, j) B_j = 0."""
+    if k < 0:
+        raise ValueError("Bernoulli numbers start at index 0")
+    if k == 0:
+        return Fraction(1)
+    if k % 2 and k > 1:
+        return Fraction(0)
+    return -sum(comb(k + 1, j) * bernoulli(j) for j in range(k)) / (k + 1)
 
-    The result has lowest exponent -1 with coefficient (x+y)/w; read in u,
-    that is the simple pole 1/(w*u).
-    """
-    if w == 0:
-        raise ValueError("weights must be nonzero")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    work = order + 2
-    exp_wt = series_exp(Fraction(w), work)
-    numerator = exp_wt * _X + SeriesU.const(_Y, work)
-    denominator = exp_wt - SeriesU.const(_ONE, work)
-    return (numerator / denominator).truncate(order=order)
+
+def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
+    denominator = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (denominator // v.denominator) for v in values), denominator
 
 
 @lru_cache(maxsize=None)
-def _todd_regular(order: int) -> tuple[Fraction, ...]:
-    # coefficients of 1/(1 - e^{-u}) - 1/u at exponents 0 .. order-1
-    work = order + 2
-    denominator = SeriesU.const(_ONE, work) - series_exp(Fraction(-1), work)
-    inverse = SeriesU.const(_ONE, work) / denominator
-    out = []
-    for k in range(order):
-        value = inverse.coeff(k).as_constant()
-        assert value is not None
-        out.append(value)
+def _g_regular(length: int) -> tuple[tuple[int, ...], int]:
+    # coefficients of s^0 .. s^(length-2) in g(s) - 1/s, as integer
+    # numerators over one common denominator
+    return _over_common_denominator(
+        [bernoulli(k + 1) / factorial(k + 1) for k in range(length - 1)]
+    )
+
+
+def _factor(w: int, numerators: tuple[int, ...], denominator: int) -> tuple[int, ...]:
+    # u * F(w u) for F(u) = 1/u + sum_k (numerators[k] / denominator) u^k,
+    # as the numerators of u^0 .. u^(length-1) over w * denominator
+    out = [denominator]
+    power = w
+    for c in numerators:
+        out.append(c * power)
+        power *= w
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def txy_factor_series(w: int, length: int) -> tuple[int, ...]:
+    """The rational part g(w*t) = 1/(e^{w t} - 1) of the two-parameter
+    weight factor x + (x+y)*g(w*t), as the integer numerators of its
+    coefficients of t^-1 .. t^(length-2) over the common denominator w*D,
+    with D the least common denominator of the Bernoulli coefficients
+    B_k / k! for k < length.
+
+    The first numerator is D: the residue 1/w, which read in u is the
+    factor's pole (x+y)/w * t^-1 = 1/(w*u).
+    """
+    if w == 0:
+        raise ValueError("weights must be nonzero")
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    return _factor(w, *_g_regular(length))
+
+
+def _mul(a, b, length: int) -> list[int]:
+    # the first `length` coefficients of the product of two power series
+    out = [0] * length
+    nonzero = [(j, c) for j, c in enumerate(b[:length]) if c]
+    for i, ai in enumerate(a[:length]):
+        if not ai:
+            continue
+        for j, bj in nonzero:
+            if i + j >= length:
+                break
+            out[i + j] += ai * bj
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,7 +139,7 @@ class GenusSeries:
     variable as described in the module docstring).  Other genera have
     rational coefficients: ``regular_coeffs`` lists the coefficients of
     H(u)/u - 1/u starting at u^0, taken as zero beyond the list; the name
-    "todd" computes them exactly instead.
+    "todd" takes them from the Bernoulli numbers instead.
     """
 
     name: str
@@ -98,27 +152,9 @@ class GenusSeries:
         if self.regular_coeffs is not None:
             return self.regular_coeffs[k] if k < len(self.regular_coeffs) else Fraction(0)
         if self.name == "todd":
-            return _todd_regular(k + 1)[k]
+            # 1/(1 - e^{-u}) = 1 + g(u)
+            return bernoulli(k + 1) / factorial(k + 1) + (k == 0)
         raise ValueError(f"genus {self.name!r} has no coefficient rule")
-
-    def factor_series(self, w: int, order: int) -> SeriesU:
-        """The weight-w factor H(w*u)/(w*u) truncated at ``order``."""
-        if w == 0:
-            raise ValueError("weights must be nonzero")
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        if self.symbolic:
-            return txy_factor_series(w, order)
-        if self.regular_coeffs is None and self.name == "todd":
-            base = _todd_regular(order)
-        else:
-            base = tuple(self.regular_coefficient(k) for k in range(order))
-        coeffs = [PolyXY.const(Fraction(1, w))]
-        scale = Fraction(1)
-        for k in range(order):
-            coeffs.append(PolyXY.const(base[k] * scale))
-            scale *= w
-        return SeriesU(-1, order, tuple(coeffs))
 
 
 TXY = GenusSeries("txy", symbolic=True)
@@ -136,27 +172,73 @@ def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> Series
     sum over fixed points of the product of weight factors.  Retains
     exponents from -n up to order - 1.
 
-    Before any product, the work is bounded from m, n and the working
-    length: the j-th of a point's n factor products multiplies at most
-    work^2 coefficient pairs of at most j and 2 monomials (TXY; other
-    genera have one each), so m * n(n + 1) * work^2 bounds the monomial
-    products.  A bound above MAX_SERIES_WORK raises ValueError."""
-    if order < data.n + 1:
+    Every factor is t^-1 times a power series, so each e_k of a point's
+    factors is exact to order - 1 when its power series are kept to length
+    order + n.  Before any product, the work is bounded from m, n and
+    work = order + 2n + 6, a length above order + n: a point's
+    elementary-symmetric recursion makes at most n(n + 1)/2 products of
+    rational series of that length, at most work^2 / 2 coefficient products each,
+    and the assembly into polynomials is smaller still, so
+    m * n(n + 1) * work^2 bounds the coefficient products.  A bound above
+    MAX_SERIES_WORK raises ValueError."""
+    n = data.n
+    if order < n + 1:
         raise ValueError("order must be at least n + 1")
-    work = order + 2 * data.n + 6
-    estimate = data.m * data.n * (data.n + 1) * work * work
+    work = order + 2 * n + 6
+    estimate = data.m * n * (n + 1) * work * work
     if estimate > MAX_SERIES_WORK:
         raise ValueError(
             f"series work estimate {estimate} monomial products exceeds"
             f" the bound {MAX_SERIES_WORK}"
         )
-    total = SeriesU.zero(-data.n, order)
+    length = order + n
+    if genus.symbolic:
+        numerators, denominator = _g_regular(length)
+    else:
+        numerators, denominator = _over_common_denominator(
+            [genus.regular_coefficient(k) for k in range(length - 1)]
+        )
+    # every factor t * F(w t) as integer numerators over one denominator,
+    # scale: its own denominator is w * denominator, lifted by common / w
+    weights = {w for point in data.points for w in point.weights}
+    common = lcm(*weights)
+    scale = common * denominator
+    factors = {}
+    for w in weights:
+        base = txy_factor_series(w, length) if genus.symbolic else _factor(w, numerators, denominator)
+        factors[w] = [c * (common // w) for c in base]
+    # a rational genus needs only the product of the factors, e_n
+    low = 0 if genus.symbolic else n
+    # sums[k]: scale^k times the sum over points of sign * t^k e_k
+    sums = [[0] * length for _ in range(n + 1)]
     for point in data.points:
-        product = SeriesU.const(_ONE, work)
+        elementary = [[point.sign] + [0] * (length - 1)]
         for w in point.weights:
-            product = product * genus.factor_series(w, work)
-        total = total + (product * point.sign).truncate(lowest=-data.n, order=order)
-    return total
+            a = factors[w]
+            elementary.append(_mul(elementary[-1], a, length))
+            for k in range(len(elementary) - 2, low, -1):
+                step = _mul(elementary[k - 1], a, length)
+                elementary[k] = [p + q for p, q in zip(elementary[k], step)]
+        for k in range(low, n + 1):
+            sums[k] = [p + q for p, q in zip(sums[k], elementary[k])]
+    full = scale**n
+    if not genus.symbolic:
+        coeffs = tuple(PolyXY.const(Fraction(c, full)) for c in sums[n])
+        return SeriesU(-n, order, coeffs)
+    # the t^j coefficient of x^(n-k) (x+y)^k t^-k e_k has the y^b term
+    # C(k, b) sums[k][j + k] / scale^k
+    lift = [scale ** (n - k) for k in range(n + 1)]
+    coeffs = []
+    for j in range(-n, order):
+        terms = {}
+        for b in range(n + 1):
+            c = sum(
+                comb(k, b) * sums[k][j + k] * lift[k] for k in range(max(b, -j), n + 1)
+            )
+            if c:
+                terms[(n - b, b)] = Fraction(c, full)
+        coeffs.append(PolyXY(terms))
+    return SeriesU(-n, order, tuple(coeffs))
 
 
 def series_is_constant(series: SeriesU) -> Optional[PolyXY]:

@@ -3,14 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from txyrigid.algebra import (
-    LaurentZ,
-    PolyXY,
-    SeriesU,
-    UnsupportedDivisionError,
-    poly_div_exact,
-    series_exp,
-)
+from txyrigid.algebra import LaurentZ, PolyXY, SeriesU, series_exp
 
 X = PolyXY.x()
 Y = PolyXY.y()
@@ -84,20 +77,6 @@ def test_poly_substitute_and_swap():
     assert p.swap_xy() == Y * X * X - Y * Y * X
     assert p.is_homogeneous(3)
     assert not (p + ONE).is_homogeneous(3)
-
-
-def test_poly_div_exact_monomial():
-    p = 6 * X * X * Y
-    d = PolyXY.monomial(1, 1, 3)
-    assert poly_div_exact(p, d) == 2 * X
-    assert poly_div_exact(X, Y) is None
-
-
-def test_poly_div_exact_general():
-    assert poly_div_exact(X * X - Y * Y, X - Y) == X + Y
-    assert poly_div_exact(X * X - Y * Y, X + ONE) is None
-    assert poly_div_exact(PolyXY.zero(), X) == PolyXY.zero()
-    assert poly_div_exact(X, PolyXY.zero()) is None
 
 
 def test_poly_rendering():
@@ -181,50 +160,25 @@ def test_series_exp_multiplicativity():
         assert lhs == rhs.truncate(order=lhs.order)
 
 
-def test_series_division_simple_pole():
-    u = SeriesU(1, 3, (ONE, PolyXY.zero()))
-    quotient = u / u
-    assert quotient.lowest == 0
-    assert quotient.coeff(0) == ONE
-    assert all(quotient.coeff(k).is_zero() for k in range(1, quotient.order))
-
-
-def test_series_geometric():
-    one = SeriesU.const(ONE, 4)
-    g = SeriesU(0, 4, (ONE, -ONE, PolyXY.zero(), PolyXY.zero()))  # 1 - u
-    inv = one / g
-    assert [inv.coeff(k) for k in range(4)] == [ONE, ONE, ONE, ONE]
-
-
-def test_series_exponential_minus_one_has_simple_zero():
-    s = series_exp(X + Y, 6) - SeriesU.const(ONE, 6)
-    assert s.valuation() == 1
-    assert s.coeff(1) == X + Y
-
-
-def test_series_division_tracks_orders():
-    f = SeriesU.const(ONE, 5)
-    g = series_exp(Fraction(1), 5) - SeriesU.const(ONE, 5)  # valuation 1
-    q = f / g
-    assert q.lowest == -1
-    assert q.order == 3  # one order lost to the pivot, one to the truncation
-    # multiply back and compare on the common range
-    back = q * g
-    for k in range(back.lowest, back.order):
-        assert back.coeff(k) == f.coeff(k)
-
-
-def test_series_unsupported_division():
-    f = SeriesU.const(ONE, 4)
-    g = SeriesU.const(X + Y, 4)
-    with pytest.raises(UnsupportedDivisionError):
-        f / g
-    with pytest.raises(ZeroDivisionError):
-        f / SeriesU.zero(0, 4)
+def test_series_product_keeps_common_range():
+    rng = random.Random(5)
+    for _ in range(10):
+        a = SeriesU(-1, 4, tuple(random_poly(rng, max_exp=1) for _ in range(5)))
+        b = SeriesU(0, 6, tuple(random_poly(rng, max_exp=1) for _ in range(6)))
+        product = a * b
+        # b's unknown u^6 meets a's u^-1 at u^5; a's unknown u^4 meets b's u^0
+        assert (product.lowest, product.order) == (-1, 4)
+        for k in range(-1, 4):
+            expected = PolyXY.zero()
+            for i in range(-1, k + 1):
+                expected = expected + a.coeff(i) * b.coeff(k - i)
+            assert product.coeff(k) == expected
+        assert b * a == product
+        assert (a * 3).coeffs == tuple(3 * c for c in a.coeffs)
 
 
 def test_series_truncate_guards():
-    s = series_exp(X, 5)
+    s = SeriesU(0, 5, (X, ONE, Y, X * Y, ONE))
     assert s.truncate(order=3).order == 3
     with pytest.raises(ValueError):
         s.truncate(order=9)

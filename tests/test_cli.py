@@ -267,6 +267,18 @@ def test_series_custom_coefficient_genus(capsys, monkeypatch):
     assert report["cross_check"] is None
 
 
+@pytest.mark.parametrize("name", ["todd", "txy"])
+def test_series_builtin_genus_rejects_coefficients(capsys, monkeypatch, name):
+    doc = document(1, [((1,), 1), ((-1,), 1)], genus={"name": name, "coefficients": ["5", "7"]})
+    status, out, err = run_cli(capsys, ["series", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert status == 2 and out == ""
+    assert "genus.coefficients" in err and name in err
+    # the same list under any other name is a custom genus: 1/u + 5 + 7u
+    custom = document(1, [((1,), 1), ((-1,), 1)], genus={"name": "mine", "coefficients": ["5", "7"]})
+    status, out, _ = run_cli(capsys, ["series", "-"], stdin=custom, monkeypatch=monkeypatch)
+    assert status == 0 and json.loads(out)["constant_pretty"] == "10"
+
+
 def test_series_order_bounds(capsys, monkeypatch):
     doc = document(3, [((1, 1, -2), 1), ((-1, -1, 2), 1)])
     status, _, err = run_cli(
@@ -418,6 +430,39 @@ def test_search_matches_pinned_outputs(capsys, call):
     assert status == want["exit"]
     assert (summary["candidates"], summary["rigid"]) == (want["candidates"], want["rigid"])
     assert digest == want["records_sha256"]
+
+
+PINNED_SERIES = os.path.join(os.path.dirname(PINNED_SEARCH), "series.json")
+SERIES_STRATA = [
+    *(f"txy12/{n}" for n in (2, 3, 4, 5)),
+    *(f"txy24/{n}" for n in (2, 3, 4)),
+    *(f"{kind}/{n}" for kind in ("todd", "custom") for n in (2, 3, 4, 5)),
+]
+
+
+def _sample(entries):
+    # the first entry of each verdict, and the last entry
+    picked = {}
+    for entry in entries:
+        picked.setdefault(entry["expect"]["series"]["verdict"], entry)
+    return [*picked.values(), entries[-1]]
+
+
+@pytest.mark.parametrize("stratum", SERIES_STRATA)
+def test_series_matches_pinned_outputs(capsys, monkeypatch, stratum):
+    with open(PINNED_SERIES, encoding="utf-8") as handle:
+        entries = json.load(handle)[stratum]
+    for entry in _sample(entries):
+        want = entry["expect"]["series"]
+        stdin = json.dumps(entry["doc"], sort_keys=True)
+        status, out, _ = run_cli(capsys, ["series", "-"], stdin=stdin, monkeypatch=monkeypatch)
+        report = json.loads(out)
+        # the digest rule of the benchmark's pinned series outputs
+        rows = json.dumps(report["coefficients"], sort_keys=True).encode()
+        assert status == want["exit"]
+        for field in ("verdict", "constant", "cross_check"):
+            assert report[field] == want[field]
+        assert hashlib.sha256(rows).hexdigest() == want["rows_sha256"]
 
 
 def test_search_table_format(capsys):

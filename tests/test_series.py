@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from conftest import random_data
-from txyrigid.algebra import PolyXY, SeriesU, series_exp
+from txyrigid.algebra import PolyXY, SeriesU
 from txyrigid.classify import make_l1, make_s3
 from txyrigid.genera import FixedPoint, FixedPointData, ah_constant, is_rigid
 from txyrigid.series import (
+    MAX_SERIES_WORK,
     TODD,
     TXY,
     GenusSeries,
+    bernoulli,
     genus_from_coefficients,
     genus_series,
     series_is_constant,
@@ -23,43 +26,77 @@ ONE = PolyXY.one()
 HALF = Fraction(1, 2)
 
 
+# -- rational power series, kept independent of the package -----------------
+
+
+def mul(a, b, length):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(length)]
+
+
+def exp_minus_one_over_t(a, length):
+    """(e^{a t} - 1)/t, coefficients of t^0 .. t^(length-1)."""
+    return [Fraction(a ** (k + 1), factorial(k + 1)) for k in range(length)]
+
+
+def inverse(a, length):
+    """1/a for a power series with a[0] != 0."""
+    out = [1 / Fraction(a[0])]
+    for k in range(1, length):
+        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0])
+    return out
+
+
+def g_coefficients(w, length):
+    """g(w t) = 1/(e^{w t} - 1) at t^-1 .. t^(length-2), from the cached
+    numerators over w*D (the first numerator is D)."""
+    f = txy_factor_series(w, length)
+    return [Fraction(c, w * f[0]) for c in f]
+
+
+# -- Bernoulli basis ---------------------------------------------------------
+
+
+def test_bernoulli_known_values():
+    assert bernoulli(0) == 1
+    assert bernoulli(1) == Fraction(-1, 2)
+    assert bernoulli(2) == Fraction(1, 6)
+    assert bernoulli(4) == Fraction(-1, 30)
+    assert all(bernoulli(k) == 0 for k in range(3, 40, 2))
+    assert bernoulli(12) == Fraction(-691, 2730)
+    with pytest.raises(ValueError):
+        bernoulli(-1)
+
+
 # -- two-parameter factor ----------------------------------------------------
 
 
 def test_txy_factor_leading_coefficients():
-    f = txy_factor_series(1, 8)
-    assert f.lowest == -1
-    # in the scaled variable t = (x+y)u the residue coefficient is x+y,
-    # i.e. the true u^{-1} coefficient is (x+y)/(x+y) = 1
-    assert f.coeff(-1) == X + Y
-    assert f.coeff(0) == X - (X + Y) * HALF
+    g = g_coefficients(1, 8)
+    # in the scaled variable t = (x+y)u the factor is x + (x+y) g(t): its
+    # residue coefficient is x+y, i.e. the true u^{-1} coefficient is 1
+    assert (g[0], g[1], g[2], g[3]) == (1, -HALF, Fraction(1, 12), 0)
+    assert X + (X + Y) * g[1] == X - (X + Y) * HALF
 
 
 def test_txy_factor_multiplies_back():
-    # independent check: factor * (e^{wt} - 1) == x e^{wt} + y, coefficientwise
+    # independent check: g(w t) * (e^{w t} - 1) == 1, coefficientwise
     for w in (1, 2, -3):
-        order = 10
-        f = txy_factor_series(w, order)
-        e = series_exp(Fraction(w), order + 2)
-        numerator = e * X + SeriesU.const(Y, order + 2)
-        denominator = e - SeriesU.const(ONE, order + 2)
-        back = f * denominator
-        for k in range(back.lowest, back.order):
-            assert back.coeff(k) == numerator.coeff(k)
+        length = 10
+        back = mul(g_coefficients(w, length), exp_minus_one_over_t(w, length), length)
+        assert back == [1] + [0] * (length - 1)
 
 
 def test_txy_factor_residue_scaling():
     for w in (2, 3, -5):
-        f = txy_factor_series(w, 6)
-        assert f.coeff(-1) == (X + Y) * Fraction(1, w)
+        assert g_coefficients(w, 6)[0] == Fraction(1, w)
 
 
 def test_txy_factor_negative_weight_is_variable_flip():
-    plus = txy_factor_series(1, 9)
-    minus = txy_factor_series(-1, 9)
+    plus = g_coefficients(1, 10)
+    minus = g_coefficients(-1, 10)
     for k in range(-1, 9):
-        expected = plus.coeff(k) if k % 2 == 0 else -plus.coeff(k)
-        assert minus.coeff(k) == expected
+        expected = plus[k + 1] if k % 2 == 0 else -plus[k + 1]
+        assert minus[k + 1] == expected
 
 
 def test_txy_factor_rejects_zero_weight():
@@ -82,25 +119,28 @@ def point_fraction(point: FixedPoint) -> tuple[dict, list]:
 
 
 def test_txy_factor_agrees_with_z_domain_substitution():
-    # substituting z -> e^{wt} into the Laurent fraction and expanding must
-    # reproduce the factor series (the bridge between the two back-ends)
+    # substituting z -> e^t into the Laurent fraction and expanding must
+    # reproduce the series (the bridge between the two back-ends)
     order = 8
-    work = order + 4
     for weights, sign in (((2,), 1), ((1, -1), -1), ((1, 2, -3), 1)):
-        data = FixedPointData(len(weights), (FixedPoint(weights, sign),))
+        n = len(weights)
+        length = order + n
+        data = FixedPointData(n, (FixedPoint(weights, sign),))
         terms, entries = point_fraction(data.points[0])
-        numerator = SeriesU.zero(0, work)
-        for k, coeff in terms.items():
-            numerator = numerator + series_exp(Fraction(k), work) * coeff
-        denominator = SeriesU.const(ONE, work)
+        # the fraction is t^-n * numerator(e^t) / prod_a (e^{a t} - 1)/t
+        denominator = [1] + [0] * (length - 1)
         for a in entries:
-            denominator = denominator * (
-                series_exp(Fraction(a), work) - SeriesU.const(ONE, work)
-            )
-        expanded = numerator / denominator
+            denominator = mul(denominator, exp_minus_one_over_t(a, length), length)
+        scale = inverse(denominator, length)
         direct = genus_series(data, TXY, order)
-        for k in range(direct.lowest, min(direct.order, expanded.order)):
-            assert expanded.coeff(k) == direct.coeff(k)
+        for j in range(-n, order):
+            expanded = PolyXY.zero()
+            for i in range(j + n + 1):
+                numerator = PolyXY.zero()
+                for k, coeff in terms.items():
+                    numerator = numerator + coeff * Fraction(k**i, factorial(i))
+                expanded = expanded + numerator * scale[j + n - i]
+            assert expanded == direct.coeff(j)
 
 
 # -- Todd and custom rational genera -------------------------------------------
@@ -108,27 +148,23 @@ def test_txy_factor_agrees_with_z_domain_substitution():
 
 def test_todd_expansion_values():
     # 1/(1 - e^{-u}) = u^{-1} + 1/2 + u/12 + 0 u^2 - u^3/720 + ...
-    f = TODD.factor_series(1, 6)
-    assert f.coeff(-1) == ONE
-    assert f.coeff(0) == PolyXY.const(HALF)
-    assert f.coeff(1) == PolyXY.const(Fraction(1, 12))
-    assert f.coeff(2) == PolyXY.zero()
-    assert f.coeff(3) == PolyXY.const(Fraction(-1, 720))
-    # multiply back: factor * (1 - e^{-wu}) == 1
+    r = [TODD.regular_coefficient(k) for k in range(4)]
+    assert r == [HALF, Fraction(1, 12), 0, Fraction(-1, 720)]
+    # multiply back: u * factor(w u) * (1 - e^{-w u})/u == 1
     for w in (1, 2, -3):
-        order = 10
-        f = TODD.factor_series(w, order)
-        denominator = SeriesU.const(ONE, order + 2) - series_exp(Fraction(-w), order + 2)
-        back = f * denominator
-        assert back.coeff(0) == ONE
-        assert all(back.coeff(k).is_zero() for k in range(back.lowest, back.order) if k != 0)
+        length = 10
+        factor = [Fraction(1, w)] + [TODD.regular_coefficient(k) * w**k for k in range(length - 1)]
+        damped = [-c for c in exp_minus_one_over_t(-w, length)]
+        assert mul(factor, damped, length) == [1] + [0] * (length - 1)
 
 
 def test_custom_genus_matches_builtin_todd():
     coeffs = [TODD.regular_coefficient(k) for k in range(16)]
     custom = genus_from_coefficients("custom-todd", coeffs)
-    for w in (1, 2, -3):
-        assert custom.factor_series(w, 12) == TODD.factor_series(w, 12)
+    rng = random.Random(18)
+    for _ in range(10):
+        data = random_data(rng, max_abs=4)
+        assert genus_series(data, custom, 10) == genus_series(data, TODD, 10)
 
 
 def test_unknown_genus_has_no_rule():
@@ -210,3 +246,67 @@ def test_principal_part_exponent_bound():
         data = random_data(rng, max_abs=4)
         s = genus_series(data, TXY, data.n + 4)
         assert s.lowest == -data.n
+
+
+# -- symmetries ---------------------------------------------------------------
+
+
+def transformed(data, weight_map, shuffle=None):
+    points = [
+        FixedPoint(tuple(weight_map(w) for w in p.weights), p.sign) for p in data.points
+    ]
+    if shuffle is not None:
+        points = [FixedPoint(tuple(shuffle(list(p.weights))), p.sign) for p in points]
+        points = shuffle(points)
+    return FixedPointData(data.n, tuple(points))
+
+
+def test_negated_weights_swap_x_and_y():
+    rng = random.Random(19)
+    for _ in range(30):
+        data = random_data(rng, max_abs=5)
+        s = genus_series(data, TXY, data.n + 4)
+        negated = genus_series(transformed(data, lambda w: -w), TXY, data.n + 4)
+        sign = (-1) ** data.n
+        for k in range(s.lowest, s.order):
+            assert negated.coeff(k) == s.coeff(k).swap_xy() * sign
+
+
+def test_scaled_weights_scale_coefficients():
+    rng = random.Random(20)
+    for _ in range(30):
+        data = random_data(rng, max_abs=4)
+        c = rng.choice((2, 3, -2))
+        scaled_data = transformed(data, lambda w: c * w)
+        for genus in (TXY, TODD):
+            s = genus_series(data, genus, data.n + 4)
+            scaled = genus_series(scaled_data, genus, data.n + 4)
+            for k in range(s.lowest, s.order):
+                assert scaled.coeff(k) == s.coeff(k) * Fraction(c) ** k
+
+
+def test_permuted_points_and_weights_leave_series_unchanged():
+    rng = random.Random(21)
+
+    def shuffle(items):
+        rng.shuffle(items)
+        return items
+
+    for _ in range(30):
+        data = random_data(rng, max_abs=5)
+        permuted = transformed(data, lambda w: w, shuffle)
+        assert genus_series(permuted, TXY, data.n + 4) == genus_series(data, TXY, data.n + 4)
+
+
+def test_series_work_guard_admits_n14_refuses_n15():
+    # two points with n distinct weights at order n + 1
+    for n, admitted in ((14, True), (15, False)):
+        weights = tuple(2**i for i in range(n))
+        data = FixedPointData(n, (FixedPoint(weights, 1), FixedPoint(tuple(-w for w in weights), 1)))
+        estimate = 2 * n * (n + 1) * (3 * n + 7) ** 2
+        assert (estimate <= MAX_SERIES_WORK) == admitted
+        if admitted:
+            assert genus_series(data, TXY, n + 1).lowest == -n
+        else:
+            with pytest.raises(ValueError, match="exceeds the bound"):
+                genus_series(data, TXY, n + 1)

@@ -1,8 +1,13 @@
-"""Third, independent oracle: sympy cancels the fixed-point sum minus the
-Atiyah-Hirzebruch constant as a rational function in x, y and z, sharing
-no code with the z-domain kernel or the series back-end."""
+"""Third, independent oracle, sharing no code with the z-domain kernel or
+the series back-end: sympy cancels the fixed-point sum minus the
+Atiyah-Hirzebruch constant as a rational function in x, y and z, and
+multiplies its own expansions of the weight factors out into the series
+of the fixed-point sum, whose coefficients the series back-end must
+reproduce."""
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -10,10 +15,11 @@ from conftest import random_data
 from txyrigid.classify import make_l1, make_s3, make_z
 from txyrigid.genera import is_rigid
 from txyrigid.search import SearchParams, enumerate_data, prune
+from txyrigid.series import TODD, TXY, genus_series
 
 sympy = pytest.importorskip("sympy")
 
-X, Y, Z = sympy.symbols("x y z")
+X, Y, Z, S = sympy.symbols("x y z s")
 
 
 def sympy_rigid(data) -> bool:
@@ -45,3 +51,59 @@ def test_sympy_cancel_agrees_with_is_rigid():
     assert any(verdicts) and not all(verdicts)
     disagreements = [d for d, rigid in zip(data, verdicts) if sympy_rigid(d) != rigid]
     assert disagreements == []
+
+
+# series oracle: orders up to 8 and n up to 3 need t^0 .. t^10 of t * factor
+SERIES_LENGTH = 11
+
+
+@lru_cache(maxsize=None)
+def unit_factor(name):
+    """sympy's expansion of s * F(s) for the weight-1 factor F of the genus,
+    as coefficient Polys in x and y of s^0 .. s^10.  Every factor of a
+    weight w is then t * F(w t) = (w t) * F(w t) / w."""
+    if name == "txy":
+        expr = S * (X * sympy.exp(S) + Y) / (sympy.exp(S) - 1)
+    else:
+        expr = S / (1 - sympy.exp(-S))
+    series = sympy.expand(sympy.series(expr, S, 0, SERIES_LENGTH).removeO())
+    return [sympy.Poly(series.coeff(S, k), X, Y, domain="QQ") for k in range(SERIES_LENGTH)]
+
+
+def sympy_series(data, name, length):
+    """The coefficients of t^-n .. t^(length-n-1) of the fixed-point sum,
+    multiplied out by sympy from its per-weight expansions."""
+    zero = sympy.Poly(0, X, Y, domain="QQ")
+    total = [zero] * length
+    for p in data.points:
+        product = [sympy.Poly(p.sign, X, Y, domain="QQ")] + [zero] * (length - 1)
+        for w in p.weights:
+            factor = [c * sympy.Rational(w) ** (k - 1) for k, c in enumerate(unit_factor(name))]
+            product = [
+                sum((product[i] * factor[k - i] for i in range(k + 1)), zero)
+                for k in range(length)
+            ]
+        total = [a + b for a, b in zip(total, product)]
+    return total
+
+
+def as_fraction_dict(poly):
+    return {
+        monomial: Fraction(int(c.p), int(c.q)) for monomial, c in poly.as_dict().items() if c
+    }
+
+
+def test_sympy_series_coefficients_match_genus_series():
+    rng = random.Random(2025)
+    data = [make_l1(2), make_s3(1, 2)]
+    data += [random_data(rng, max_abs=4, n_max=3, m_max=3) for _ in range(18)]
+    compared = 0
+    for d in data:
+        order = rng.randint(d.n + 1, 8)
+        for genus in (TXY, TODD):
+            mine = genus_series(d, genus, order)
+            theirs = sympy_series(d, genus.name, order + d.n)
+            for k in range(-d.n, order):
+                assert mine.coeff(k).terms == as_fraction_dict(theirs[k + d.n])
+                compared += 1
+    assert compared > 300
