@@ -397,15 +397,3 @@ class SeriesU:
             tuple(self.coeff(k) for k in range(new_lowest, new_order)),
         )
 
-
-def series_exp(c: Union[PolyXY, Scalar], order: int) -> SeriesU:
-    """The truncated exponential sum_{k<order} c^k / k! * u^k."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    p = c if isinstance(c, PolyXY) else PolyXY.const(c)
-    coeffs = [PolyXY.one()]
-    term = PolyXY.one()
-    for k in range(1, order):
-        term = term * p * Fraction(1, k)
-        coeffs.append(term)
-    return SeriesU(0, order, tuple(coeffs))

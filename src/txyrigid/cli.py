@@ -387,6 +387,7 @@ def run_search(args) -> int:
         "type": "summary",
         "candidates": outcome.summary.candidates,
         "pruned": outcome.summary.pruned,
+        "pruned_by": outcome.summary.pruned_by._asdict(),
         "checked": outcome.summary.checked,
         "rigid": outcome.summary.rigid,
         "params": {
@@ -395,7 +396,6 @@ def run_search(args) -> int:
             "max_weight": params.max_abs_weight,
             "signs": args.signs,
             "effective_only": params.require_effective,
-            "dedupe": True,
         },
     }
     if args.format == "json":
@@ -455,10 +455,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser main uses, filled by calling build_parser() on first use;
+# build_parser itself stays uncached, so each of its calls gives a new parser
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as err:
         # argparse exits 2 on usage errors, matching the error status
         return int(err.code) if err.code else 0

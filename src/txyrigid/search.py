@@ -20,11 +20,20 @@ e_i is the rational condition
 
 Every rung is a proved necessary condition, so no rigid datum is lost;
 only keys that pass become data for the exact z-domain check.
+
+For two points the search walks only the pairs that pass the pairing
+rung: the generator takes partners from the first point's group of equal
+sorted weight magnitudes, a group that negation maps to itself.  The
+candidate count is still the number of all classes in range, found
+without walking them by Burnside's lemma over the negation involution,
+so ``candidates == len(list(enumerate_data(params)))`` holds and the
+pairing rejects are the classes the walk skipped.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -131,16 +140,38 @@ def _points(params: SearchParams) -> list[PointKey]:
     )
 
 
-def _enumerate_shard(params: SearchParams, shard: int, shards: int) -> Iterator[DataKey]:
+def _sign_multisets(params: SearchParams) -> Optional[set[tuple[int, ...]]]:
+    """The sorted sign tuples the sign patterns allow, or None for all."""
+    patterns = params.sign_patterns
+    return None if patterns is None else {tuple(sorted(p)) for p in patterns}
+
+
+def _magnitudes(weights: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(abs(w) for w in weights))
+
+
+def _enumerate_shard(
+    params: SearchParams, shard: int, shards: int, _paired: bool = False
+) -> Iterator[DataKey]:
     """The canonical keys whose first point has an index congruent to
-    ``shard`` modulo ``shards`` in the sorted point list."""
+    ``shard`` modulo ``shards`` in the sorted point list.  With ``_paired``
+    (two points only) just the keys whose points have equal sorted weight
+    magnitudes, in the same order."""
     points = _points(params)
     index = {point: i for i, point in enumerate(points)}
     negated = [index[_negate_point(point)] for point in points]
-    patterns = params.sign_patterns
-    signs = None if patterns is None else {tuple(sorted(p)) for p in patterns}
+    signs = _sign_multisets(params)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    if _paired:
+        for i, (_, weights) in enumerate(points):
+            groups.setdefault(_magnitudes(weights), []).append(i)
     for first in range(shard, len(points), shards):
-        for rest in combinations_with_replacement(range(first, len(points)), params.m - 1):
+        if _paired:
+            group = groups[_magnitudes(points[first][1])]
+            rests = ((j,) for j in group[bisect_left(group, first):])
+        else:
+            rests = combinations_with_replacement(range(first, len(points)), params.m - 1)
+        for rest in rests:
             chosen = (first, *rest)
             # indices order like the keys they stand for
             if tuple(sorted([negated[i] for i in chosen])) < chosen:
@@ -158,6 +189,38 @@ def enumerate_data(params: SearchParams) -> Iterator[FixedPointData]:
     return (_data_from_key(params.n, key) for key in _enumerate_shard(params, 0, 1))
 
 
+def _count_pair_classes(params: SearchParams) -> int:
+    """The number of canonical two-point keys in range, which is the length
+    of the ``enumerate_data`` stream, without walking them.
+
+    Burnside's lemma over the negation involution gives
+    (|X| + |Fix|) / 2 classes, where X holds the point multisets {p, q}
+    that pass the filters and Fix those that negation maps to themselves:
+    both points self-negating, or q = -p.  Negation keeps a point's sign
+    and weight gcd, so the points are counted in bins by (sign, gcd) and
+    the filters apply per bin pair."""
+    bins: dict[tuple[int, int], list[int]] = {}  # bin -> [points, self-negating]
+    for point in _points(params):
+        tally = bins.setdefault((point[0], gcd(*point[1])), [0, 0])
+        tally[0] += 1
+        tally[1] += _negate_point(point) == point
+    signs = _sign_multisets(params)
+    pairs = fixed = 0
+    for a, b in combinations_with_replacement(sorted(bins), 2):
+        if signs is not None and tuple(sorted((a[0], b[0]))) not in signs:
+            continue
+        if params.require_effective and gcd(a[1], b[1]) != 1:
+            continue
+        (count_a, self_a), (count_b, self_b) = bins[a], bins[b]
+        if a == b:
+            pairs += count_a * (count_a + 1) // 2
+            fixed += self_a * (self_a + 1) // 2 + (count_a - self_a) // 2
+        else:
+            pairs += count_a * count_b
+            fixed += self_a * self_b
+    return (pairs + fixed) // 2
+
+
 class _PointFacts(NamedTuple):
     magnitudes: tuple[int, ...]
     limit: tuple[tuple[int, int, int], ...]
@@ -166,26 +229,36 @@ class _PointFacts(NamedTuple):
 
 def _point_facts(sign: int, weights: tuple[int, ...]) -> _PointFacts:
     return _PointFacts(
-        tuple(sorted(abs(w) for w in weights)),
+        _magnitudes(weights),
         limit_terms(sign, weights),
         Fraction(sign, prod(weights)),
     )
 
 
-def _keeps(facts: list[_PointFacts]) -> bool:
-    """The prune rule on the facts of a datum's points, cheapest rung
-    first: pairing (two points), limit symmetry, principal part."""
+class PruneCounts(NamedTuple):
+    """Candidates rejected by each rung of the prune rule, in rung order."""
+
+    pairing: int
+    limit_symmetry: int
+    principal_part: int
+
+
+def _failed_rung(facts: list[_PointFacts]) -> Optional[int]:
+    """The index in ``PruneCounts`` of the first rung the facts of a datum's
+    points fail, cheapest first, or None when every rung passes."""
     if len(facts) == 2 and facts[0].magnitudes != facts[1].magnitudes:
-        return False
+        return 0
     if not limits_cancel(f.limit for f in facts):
-        return False
-    return sum(f.principal for f in facts) == 0
+        return 1
+    if sum(f.principal for f in facts) != 0:
+        return 2
+    return None
 
 
 def prune(data: FixedPointData) -> bool:
     """True = keep.  False only when a proved necessary condition for
     rigidity fails, so pruning never loses rigid data."""
-    return _keeps([_point_facts(p.sign, p.weights) for p in data.points])
+    return _failed_rung([_point_facts(p.sign, p.weights) for p in data.points]) is None
 
 
 @dataclass(frozen=True)
@@ -198,9 +271,13 @@ class SearchResult:
 @dataclass(frozen=True)
 class SearchSummary:
     candidates: int
-    pruned: int
     checked: int
     rigid: int
+    pruned_by: PruneCounts
+
+    @property
+    def pruned(self) -> int:
+        return sum(self.pruned_by)
 
 
 @dataclass(frozen=True)
@@ -209,23 +286,26 @@ class SearchOutcome:
     summary: SearchSummary
 
 
-def _search_shard(args) -> tuple[list, int, int, int]:
+def _search_shard(args) -> tuple[list, list[int]]:
+    """One shard's rigid results and its walked-key counts: per rung the
+    keys that rung rejected, then the keys checked exactly.  Two-point
+    shards walk only the keys that pass the pairing rung."""
     params, shard, shards = args
     facts = {point: _point_facts(*point) for point in _points(params)}
     results = []
-    candidates = pruned = checked = 0
-    for key in _enumerate_shard(params, shard, shards):
-        candidates += 1
-        if not _keeps([facts[point] for point in key]):
-            pruned += 1
+    counts = [0, 0, 0, 0]  # rejected by each rung, then checked
+    for key in _enumerate_shard(params, shard, shards, params.m == 2):
+        rung = _failed_rung([facts[point] for point in key])
+        if rung is not None:
+            counts[rung] += 1
             continue
-        checked += 1
+        counts[3] += 1
         data = _data_from_key(params.n, key)
         report = is_rigid(data)
         if report.rigid:
             family = classify_two_points(data) if data.m == 2 else None
             results.append(SearchResult(data, report, family))
-    return results, candidates, pruned, checked
+    return results, counts
 
 
 def search_rigid(params: SearchParams, jobs: int = 1) -> SearchOutcome:
@@ -239,22 +319,22 @@ def search_rigid(params: SearchParams, jobs: int = 1) -> SearchOutcome:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     shards = min(jobs, os.cpu_count() or 1)
     if shards == 1:
-        results, candidates, pruned_count, checked = _search_shard((params, 0, 1))
+        results, counts = _search_shard((params, 0, 1))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        results = []
-        candidates = pruned_count = checked = 0
+        results, counts = [], [0, 0, 0, 0]
         with ProcessPoolExecutor(max_workers=shards) as pool:
-            for shard_results, c, p, x in pool.map(
+            for shard_results, shard_counts in pool.map(
                 _search_shard, [(params, i, shards) for i in range(shards)]
             ):
                 results.extend(shard_results)
-                candidates += c
-                pruned_count += p
-                checked += x
+                counts = [a + b for a, b in zip(counts, shard_counts)]
+    walked = sum(counts)
+    candidates = _count_pair_classes(params) if params.m == 2 else walked
+    counts[0] += candidates - walked
     results.sort(key=lambda r: tuple(_point_key(p) for p in r.data.points))
     return SearchOutcome(
         tuple(results),
-        SearchSummary(candidates, pruned_count, checked, len(results)),
+        SearchSummary(candidates, counts[3], len(results), PruneCounts(*counts[:3])),
     )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from txyrigid.algebra import LaurentZ, PolyXY, SeriesU, series_exp
+from txyrigid.algebra import LaurentZ, PolyXY, SeriesU
 
 X = PolyXY.x()
 Y = PolyXY.y()
@@ -130,34 +130,6 @@ def test_laurent_normal_form():
 
 
 # -- SeriesU -----------------------------------------------------------------
-
-
-def test_series_exp_constant_zero():
-    s = series_exp(PolyXY.zero(), 5)
-    assert s.coeff(0) == ONE
-    assert all(s.coeff(k).is_zero() for k in range(1, 5))
-
-
-def test_series_exp_definition():
-    s = series_exp(X + Y, 3)
-    assert s.lowest == 0 and s.order == 3
-    assert s.coeff(0) == ONE
-    assert s.coeff(1) == X + Y
-    assert s.coeff(2) == (X + Y) * (X + Y) * Fraction(1, 2)
-
-
-def test_series_exp_rejects_bad_order():
-    with pytest.raises(ValueError):
-        series_exp(X, 0)
-
-
-def test_series_exp_multiplicativity():
-    rng = random.Random(5)
-    for _ in range(10):
-        a, b = random_poly(rng, max_exp=1, max_terms=2), random_poly(rng, max_exp=1, max_terms=2)
-        lhs = series_exp(a, 6) * series_exp(b, 6)
-        rhs = series_exp(a + b, 6)
-        assert lhs == rhs.truncate(order=lhs.order)
 
 
 def test_series_product_keeps_common_range():

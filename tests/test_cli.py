@@ -465,6 +465,17 @@ def test_series_matches_pinned_outputs(capsys, monkeypatch, stratum):
         assert hashlib.sha256(rows).hexdigest() == want["rows_sha256"]
 
 
+def test_search_summary_counts_each_prune_rung(capsys):
+    status, out, _ = run_cli(capsys, ["search", "--n", "2", "--m", "2", "--max-weight", "5"])
+    summary = json.loads(out.splitlines()[-1])
+    assert status == 0
+    assert summary["pruned_by"] == {"pairing": 2840, "limit_symmetry": 145, "principal_part": 80}
+    assert sum(summary["pruned_by"].values()) == summary["pruned"]
+    assert summary["params"] == {
+        "n": 2, "m": 2, "max_weight": 5, "signs": "all", "effective_only": False,
+    }
+
+
 def test_search_table_format(capsys):
     status, out, _ = run_cli(
         capsys,
@@ -497,6 +508,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rigid"] is True
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    from txyrigid import cli
+
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    status, out, _ = run_cli(capsys, ["verify", "-"], stdin=S3_12, monkeypatch=monkeypatch)
+    assert status == 0 and json.loads(out)["command"] == "verify"
+    status, out, _ = run_cli(
+        capsys, ["classify", "--format", "table", "-"], stdin=NOT_RIGID, monkeypatch=monkeypatch
+    )
+    assert status == 1 and out.startswith("family NotRigid")
+    # the second call's options do not leak into the third
+    status, out, _ = run_cli(capsys, ["classify", "-"], stdin=L1_4, monkeypatch=monkeypatch)
+    assert status == 0 and json.loads(out)["family"] == {"kind": "L1", "params": [4]}
+    status, out, err = run_cli(capsys, ["search", "--n", "1"])
+    assert status == 2 and out == "" and "--m" in err
+    assert len(builds) == 1
 
 
 def test_usage_error_exits_two():

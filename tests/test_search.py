@@ -7,7 +7,9 @@ from txyrigid.classify import make_l1, make_s3, make_z
 from txyrigid.genera import FixedPoint, FixedPointData, is_rigid
 from txyrigid.search import (
     MAX_SEARCH_CANDIDATES,
+    PruneCounts,
     SearchParams,
+    _enumerate_shard,
     canonical_form,
     canonical_key,
     enumerate_data,
@@ -92,6 +94,47 @@ def test_enumerate_matches_brute_force_quotient():
             params.sign_patterns, params.require_effective,
         )
         assert set(enumerated) == {canonical_key(d) for d in raw}
+
+
+SIGN_SETS = (None, ((1, 1),), ((1, -1),), ((1, -1), (-1, 1)), ((-1, -1), (1, -1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_two_point_candidate_count_matches_enumeration(n, bound):
+    for signs in SIGN_SETS:
+        for effective in (False, True):
+            params = SearchParams(n, 2, bound, signs, effective)
+            classes = len(list(enumerate_data(params)))
+            assert search_rigid(params).summary.candidates == classes
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SearchParams(n=1, m=1, max_abs_weight=3),
+        SearchParams(n=2, m=1, max_abs_weight=2, require_effective=True),
+        SearchParams(n=1, m=3, max_abs_weight=2),
+        SearchParams(n=2, m=3, max_abs_weight=2, sign_patterns=((1, 1, -1), (-1, -1, -1))),
+    ],
+)
+def test_candidate_count_matches_enumeration_off_two_points(params):
+    outcome = search_rigid(params)
+    assert outcome.summary.candidates == len(list(enumerate_data(params)))
+    assert outcome.summary.pruned_by.pairing == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_paired_walk_is_the_keys_that_pass_pairing(n):
+    for signs in SIGN_SETS:
+        for effective in (False, True):
+            params = SearchParams(n, 2, 3, signs, effective)
+            passing = [
+                key
+                for key in _enumerate_shard(params, 0, 1)
+                if sorted(map(abs, key[0][1])) == sorted(map(abs, key[1][1]))
+            ]
+            assert list(_enumerate_shard(params, 0, 1, True)) == passing
 
 
 def test_enumerate_single_point_classes():
@@ -215,6 +258,11 @@ def test_search_jobs_match_sequential():
     for params in (
         SearchParams(n=2, m=2, max_abs_weight=3),
         SearchParams(n=2, m=2, max_abs_weight=3, sign_patterns=((1, 1), (1, -1))),
+        SearchParams(n=3, m=2, max_abs_weight=3, require_effective=True),
+        SearchParams(
+            n=3, m=2, max_abs_weight=3, sign_patterns=((1, -1),), require_effective=True
+        ),
+        SearchParams(n=2, m=3, max_abs_weight=2, sign_patterns=((1, 1, -1),)),
     ):
         sequential = search_rigid(params, jobs=1)
         parallel = search_rigid(params, jobs=3)
@@ -228,6 +276,30 @@ def test_search_counts_are_consistent():
     assert s.candidates == s.pruned + s.checked
     assert s.rigid == len(outcome.results)
     assert s.candidates == len(list(enumerate_data(params)))
+    assert sum(s.pruned_by) == s.pruned
+
+
+def test_prune_counts_per_rung():
+    # every rung fires at desk n = 4
+    s = search_rigid(SearchParams(n=4, m=2, max_abs_weight=5)).summary
+    assert (s.candidates, s.pruned, s.checked, s.rigid) == (512165, 511195, 970, 365)
+    assert s.pruned_by == PruneCounts(
+        pairing=503620, limit_symmetry=6135, principal_part=1440
+    )
+    # the walk reaches only the 8,545 keys that pass pairing
+    assert s.candidates - s.pruned_by.pairing == 8545
+
+
+def test_prune_counts_match_the_public_rule():
+    params = SearchParams(n=2, m=2, max_abs_weight=3)
+    s = search_rigid(params).summary
+    kept = sum(prune(data) for data in enumerate_data(params))
+    assert (s.checked, s.pruned) == (kept, s.candidates - kept)
+    unpaired = sum(
+        sorted(map(abs, d.points[0].weights)) != sorted(map(abs, d.points[1].weights))
+        for d in enumerate_data(params)
+    )
+    assert s.pruned_by.pairing == unpaired
 
 
 def test_search_three_points_reports_unclassified():
@@ -253,3 +325,24 @@ def test_search_three_points_reports_unclassified():
     assert report.rigid
     assert report.constant == x * x - x * y + y * y
     assert canonical_key(data) in {canonical_key(r.data) for r in outcome.results}
+
+
+# -- reach: the classification beyond the desk range ---------------------------
+
+
+@pytest.mark.reach
+@pytest.mark.parametrize(
+    "params, counts",
+    [
+        # candidates agree with a full walk of enumerate_data
+        (SearchParams(n=5, m=2, max_abs_weight=5), (4010006, 8503, 1001)),
+        (SearchParams(n=6, m=2, max_abs_weight=3), (214006, 749, 236)),
+    ],
+)
+def test_reach_two_point_search_finds_z_only(params, counts):
+    # the paper: rigid two-point data lie in Z, L1 or S3; L1 has n = 1 and
+    # S3 has n = 3, so here every rigid datum must be Z, none unclassified
+    outcome = search_rigid(params)
+    s = outcome.summary
+    assert (s.candidates, s.checked, s.rigid) == counts
+    assert {r.family.kind for r in outcome.results} == {"Z"}
