@@ -173,18 +173,6 @@ class PolyXY:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "PolyXY":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = PolyXY.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     # -- substitutions ---------------------------------------------------
 
     def substitute(self, x0: Scalar, y0: Scalar) -> Fraction:
@@ -343,10 +331,6 @@ class SeriesU:
         if len(self.coeffs) != self.order - self.lowest:
             raise ValueError("coefficient count does not match the exponent range")
 
-    @classmethod
-    def zero(cls, lowest: int = 0, order: int = 1) -> "SeriesU":
-        return cls(lowest, order, (_ZERO_POLY,) * (order - lowest))
-
     def coeff(self, k: int) -> PolyXY:
         if k < self.lowest:
             return _ZERO_POLY
@@ -380,20 +364,3 @@ class SeriesU:
         return SeriesU(lowest, order, tuple(out))
 
     __rmul__ = __mul__
-
-    def truncate(self, lowest: Optional[int] = None, order: Optional[int] = None) -> "SeriesU":
-        new_lowest = self.lowest if lowest is None else lowest
-        new_order = self.order if order is None else order
-        if new_order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        if new_order < new_lowest:
-            raise ValueError("order must be at least lowest")
-        if new_lowest > self.lowest:
-            dropped = self.coeffs[: new_lowest - self.lowest]
-            if any(not c.is_zero() for c in dropped):
-                raise ValueError("cannot drop nonzero low-order coefficients")
-        return SeriesU(
-            new_lowest, new_order,
-            tuple(self.coeff(k) for k in range(new_lowest, new_order)),
-        )
-

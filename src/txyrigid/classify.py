@@ -16,6 +16,11 @@ positive group (a-values) and the magnitudes of the negative group
 (b-values) gives the chain of conditions replayed by ``replay_proof``:
 equal group sums, then k * max = sum of the b-values, forcing k = 1,
 l = 2 and max = b1 + b2, which is exactly the S3 shape.
+
+The replay reads the weights only.  The one exact check in this module is
+the fallback of ``classify_two_points``, for data that matches no family;
+it decides NotRigid against RigidUnclassified and reads nothing of the
+defect but whether it is zero.
 """
 
 from __future__ import annotations
@@ -127,12 +132,29 @@ class ProofTrace:
     after relabeling the points so the largest magnitude sits among the
     a-values; k and l are the group sizes, k + l = n.
 
-    ``balance_holds`` is the y = 0 specialization of the defect vanishing
-    (for k, l >= 1 this is exactly "equal group sums" plus the matching
-    sign condition).  ``max_rule_holds`` checks k * max = sum of b-values.
-    ``final_form`` is (k, l, shape-ok) for n > 1, where shape-ok means
-    k = 1, l = 2 and max = b1 + b2; for n = 1 the argument stops early
-    (``n1_shortcut``) and final_form is None.
+    ``balance_holds`` is the y = 0 specialization of the rigidity identity,
+    decided in closed form from the weights.  Paired points share the
+    denominator D = prod (z^a - 1) over their magnitudes, and at y = 0 the
+    identity reads
+
+        sum_i e_i (-1)^{s-_i} z^{A_i} = S * D,
+
+    with A_i the sum of point i's positive weights and S the sum of the
+    signs of the points with no negative weight.  For n >= 2, D vanishes
+    to order n at z = 1, while a nonzero sum of at most two monomials
+    vanishes there to order at most 1; so both sides are zero.  The
+    monomials cancel: A_1 = A_2 and e_1 (-1)^{s-_1} = -e_2 (-1)^{s-_2}
+    (equal group sums plus the matching sign condition).  Paired points
+    share sum |w|, so A_1 = A_2 is equality of the weight sums, and it
+    leaves either both points or neither with a negative weight; outside
+    family Z "neither" means equal signs, which the sign condition
+    rejects, so S = 0 follows.  For n = 1 the identity holds exactly on
+    the L1 shape.  The trace never consults the exact check.
+
+    ``max_rule_holds`` checks k * max = sum of b-values.  ``final_form`` is
+    (k, l, shape-ok) for n > 1, where shape-ok means k = 1, l = 2 and
+    max = b1 + b2; for n = 1 the argument stops early (``n1_shortcut``)
+    and final_form is None.
     """
 
     paired: bool
@@ -154,8 +176,9 @@ def replay_proof(data: FixedPointData) -> ProofTrace:
     Rejects data with m != 2, data whose weight magnitudes do not match,
     and family Z data (the argument does not apply there).  The recorded
     conditions must all hold for rigid data; for non-rigid data they may
-    fail in any pattern, and the verdict always comes from the exact
-    defect, never from this trace.
+    fail in any pattern.  The trace is computed from the weights alone and
+    builds no defect; the verdict always comes from the exact check in
+    ``classify_two_points``, never from this trace.
     """
     p1, p2 = _require_two_points(data)
     if not pairing_check(data):
@@ -175,13 +198,17 @@ def replay_proof(data: FixedPointData) -> ProofTrace:
     max_weight_tie = big in a_values and big in b_values
 
     n1_shortcut = data.n == 1
-    # the defect is kept at y = 1, where its y = 0 value is the x^n part
-    defect = rigidity_defect(data)
-    balance_holds = all(data.n not in c for c in defect.terms.values())
     if n1_shortcut:
-        max_rule_holds = True  # the chain below is skipped for n = 1
+        # balance is the L1 shape; the chain below is skipped for n = 1
+        balance_holds = p1.sign == p2.sign and p1.weights[0] == -p2.weights[0]
+        max_rule_holds = True
         final_form = None
     else:
+        # the y = 0 identity in closed form (see ProofTrace), with the sign
+        # condition e_1 (-1)^{s-_1} = -e_2 (-1)^{s-_2} written as a product
+        balance_holds = sum(p1.weights) == sum(p2.weights) and (
+            p1.sign * p2.sign == (-1) ** (p1.s_minus + p2.s_minus + 1)
+        )
         top = a_values[0] if a_values else 0
         max_rule_holds = k >= 1 and k * top == sum(b_values)
         final_form = (k, l, k == 1 and l == 2 and top == sum(b_values))

@@ -73,6 +73,15 @@ def _parse_int(value: Any, where: str) -> int:
     raise InputError(f"{where}: expected an integer or decimal string")
 
 
+def _int_flag(text: str) -> int:
+    """argparse type for the integer flags: the decimal-string rule of
+    ``_parse_int``, so a bad value is a usage error (exit 2)."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def _parse_sign(value: Any, where: str) -> int:
     sign = _parse_int(value, where)
     if sign not in (1, -1):
@@ -440,16 +449,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_series = sub.add_parser("series", help="truncated-series evaluation")
     add_io(p_series)
     p_series.add_argument("--genus", default=None, help="genus name override (txy, todd)")
-    p_series.add_argument("--order", type=int, default=None, help="truncation order")
+    p_series.add_argument("--order", type=_int_flag, default=None, help="truncation order")
     p_series.set_defaults(handler=run_series)
 
     p_search = sub.add_parser("search", help="exhaustive rigidity search")
-    p_search.add_argument("--n", type=int, required=True, help="weights per point")
-    p_search.add_argument("--m", type=int, required=True, help="number of fixed points")
-    p_search.add_argument("--max-weight", type=int, required=True, help="weight magnitude bound")
+    p_search.add_argument("--n", type=_int_flag, required=True, help="weights per point")
+    p_search.add_argument("--m", type=_int_flag, required=True, help="number of fixed points")
+    p_search.add_argument("--max-weight", type=_int_flag, required=True, help="weight magnitude bound")
     p_search.add_argument("--signs", default="all", help="'all' or comma list like '+-,++'")
     p_search.add_argument("--effective-only", action="store_true", help="keep weight gcd 1 only")
-    p_search.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_search.add_argument("--jobs", type=_int_flag, default=1, help="parallel workers")
     p_search.add_argument("--format", choices=("json", "table"), default="json")
     p_search.set_defaults(handler=run_search)
     return parser

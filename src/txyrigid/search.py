@@ -120,11 +120,6 @@ def canonical_key(data: FixedPointData) -> DataKey:
     return min(base, tuple(sorted(map(_negate_point, base))))
 
 
-def canonical_form(data: FixedPointData) -> FixedPointData:
-    """The canonical representative of the datum's symmetry class."""
-    return _data_from_key(data.n, canonical_key(data))
-
-
 def _data_from_key(n: int, key: DataKey) -> FixedPointData:
     return FixedPointData(n, tuple(FixedPoint(weights, sign) for sign, weights in key))
 

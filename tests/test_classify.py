@@ -1,10 +1,15 @@
+import io
+import json
+import sys
 from collections import Counter
 
 import pytest
 
+from txyrigid import classify, genera
 from txyrigid.algebra import PolyXY
 from txyrigid.classify import (
     FamilyTag,
+    _is_family_z,
     classify_two_points,
     make_l1,
     make_s3,
@@ -12,8 +17,9 @@ from txyrigid.classify import (
     pairing_check,
     replay_proof,
 )
-from txyrigid.genera import FixedPoint, FixedPointData, is_rigid
-from txyrigid.search import SearchParams, enumerate_data
+from txyrigid.cli import main
+from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, rigidity_defect
+from txyrigid.search import SearchParams, _data_from_key, _enumerate_shard, enumerate_data
 
 X = PolyXY.x()
 Y = PolyXY.y()
@@ -178,6 +184,48 @@ def test_replay_rejects_z_and_unpaired():
         replay_proof(FixedPointData(2, (FixedPoint((1, 2), 1), FixedPoint((-1, -3), 1))))
     with pytest.raises(ValueError):
         replay_proof(FixedPointData(1, (FixedPoint((1,), 1),)))
+
+
+def test_replay_balance_matches_defect_rule_on_paired_walk():
+    # the weight-only balance against the rule it replaces (the y = 0 part
+    # of the defect, kept at y = 1, is its x^n coefficient) on every
+    # paired non-Z key the two-point search walks
+    keys = balanced = 0
+    for n, bound in ((1, 5), (2, 5), (3, 5), (4, 3)):
+        for key in _enumerate_shard(SearchParams(n, 2, bound), 0, 1, True):
+            data = _data_from_key(n, key)
+            if _is_family_z(*data.points):
+                continue
+            expected = all(n not in c for c in rigidity_defect(data).terms.values())
+            assert replay_proof(data).balance_holds == expected, data
+            keys += 1
+            balanced += expected
+    assert (keys, balanced) == (3010, 36)
+
+
+NEAR_MISS = FixedPointData(3, (FixedPoint((1, 2, -4), 1), FixedPoint((-1, -2, 4), 1)))
+
+
+@pytest.mark.parametrize(
+    "data, status, builds",
+    [(NEAR_MISS, 1, 1), (make_l1(4), 0, 0), (make_s3(1, 2), 0, 0), (make_z((2, 3)), 0, 0)],
+)
+def test_cli_classify_builds_at_most_one_defect(capsys, monkeypatch, data, status, builds):
+    calls = []
+
+    def counting(datum):
+        calls.append(datum)
+        return rigidity_defect(datum)
+
+    monkeypatch.setattr(classify, "rigidity_defect", counting)
+    monkeypatch.setattr(genera, "rigidity_defect", counting)
+    points = [{"weights": list(p.weights), "sign": p.sign} for p in data.points]
+    doc = {"n": data.n, "points": points}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["classify", "-"]) == status
+    report = json.loads(capsys.readouterr().out)
+    assert (report["proof"] is None) == (report["family"]["kind"] == "Z")
+    assert len(calls) == builds
 
 
 # -- family invariants ------------------------------------------------------------

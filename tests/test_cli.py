@@ -536,6 +536,30 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0662", "1.5", "0x5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n", "{}", "--m", "2", "--max-weight", "1"],
+        ["search", "--n", "1", "--m", "{}", "--max-weight", "1"],
+        ["search", "--n", "1", "--m", "2", "--max-weight", "{}"],
+        ["search", "--n", "1", "--m", "2", "--max-weight", "1", "--jobs", "{}"],
+        ["series", "-", "--order", "{}"],
+    ],
+)
+def test_integer_flags_follow_the_decimal_rule(capsys, monkeypatch, argv, text):
+    argv = [a.format(text) for a in argv]
+    status, out, err = run_cli(capsys, argv, stdin=L1_4, monkeypatch=monkeypatch)
+    assert status == 2 and out == ""
+    assert "is not a decimal integer" in err
+
+
+def test_integer_flags_accept_a_plus_sign(capsys):
+    status, out, _ = run_cli(capsys, ["search", "--n", "+1", "--m", "+2", "--max-weight", "+3"])
+    assert status == 0
+    assert json.loads(out.splitlines()[-1])["params"]["max_weight"] == 3
+
+
 def test_usage_error_exits_two():
     proc = subprocess.run(
         [sys.executable, "-m", "txyrigid", "search", "--n", "1"],

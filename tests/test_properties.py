@@ -1,0 +1,84 @@
+"""Property tests (hypothesis, derandomized by the conftest profile)."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, strategies as st
+
+from txyrigid.classify import (
+    _is_family_z,
+    classify_two_points,
+    make_l1,
+    make_s3,
+    make_z,
+    replay_proof,
+)
+from txyrigid.genera import FixedPoint, FixedPointData, rigidity_defect
+
+SIGNS = st.sampled_from((1, -1))
+
+
+def _weights(n, max_abs=8):
+    """Lists of n nonzero weights with magnitudes up to max_abs."""
+    values = st.integers(1, max_abs).flatmap(lambda a: st.sampled_from((a, -a)))
+    return st.lists(values, min_size=n, max_size=n)
+
+
+@st.composite
+def paired_non_z(draw, max_n=8, max_abs=60):
+    """Two points with the same weight magnitudes, outside family Z.  The
+    second point is the first one negated or carries random signs; the
+    first point's weights often sum to zero, the shape that balances."""
+    n = draw(st.integers(1, max_n))
+    if n > 1 and draw(st.booleans()):
+        rest = draw(_weights(n - 1, max_abs // (n - 1)))
+        first = rest + [-sum(rest) or rest[0]]
+    else:
+        first = draw(_weights(n, max_abs))
+    if draw(st.booleans()):
+        second = [-w for w in first]
+    else:
+        second = [draw(SIGNS) * abs(w) for w in first]
+    p1 = FixedPoint(tuple(first), draw(SIGNS))
+    p2 = FixedPoint(tuple(draw(st.permutations(second))), draw(SIGNS))
+    assume(not _is_family_z(p1, p2))
+    return FixedPointData(n, (p1, p2))
+
+
+@given(paired_non_z())
+def test_weight_only_balance_matches_defect_rule(data):
+    # the rule the replay used before it read the weights only: the y = 0
+    # part of the defect (kept at y = 1) is its x^n coefficient
+    expected = all(data.n not in c for c in rigidity_defect(data).terms.values())
+    assert replay_proof(data).balance_holds == expected
+
+
+@st.composite
+def two_points(draw):
+    """Two-point data: a family member, paired data, or any two points."""
+    kind = draw(st.sampled_from(("Z", "L1", "S3", "paired", "any")))
+    if kind == "Z":
+        return make_z(draw(_weights(draw(st.integers(1, 4)))))
+    if kind == "L1":
+        return make_l1(draw(st.integers(1, 8)))
+    if kind == "S3":
+        return make_s3(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    if kind == "paired":
+        return draw(paired_non_z(max_n=4, max_abs=8))
+    n = draw(st.integers(1, 4))
+    return FixedPointData(
+        n, tuple(FixedPoint(tuple(draw(_weights(n))), draw(SIGNS)) for _ in range(2))
+    )
+
+
+@given(st.data())
+def test_classify_invariant_under_order_and_negation(data):
+    base = data.draw(two_points())
+    tag = classify_two_points(base)
+    points = [FixedPoint(tuple(data.draw(st.permutations(p.weights))), p.sign) for p in base.points]
+    if data.draw(st.booleans()):
+        points.reverse()
+    assert classify_two_points(FixedPointData(base.n, tuple(points))) == tag
+    negated = tuple(FixedPoint(tuple(-w for w in p.weights), p.sign) for p in points)
+    assert classify_two_points(FixedPointData(base.n, negated)).kind == tag.kind

@@ -10,7 +10,6 @@ from txyrigid.search import (
     PruneCounts,
     SearchParams,
     _enumerate_shard,
-    canonical_form,
     canonical_key,
     enumerate_data,
     prune,
@@ -40,22 +39,6 @@ def test_canonical_key_invariance():
         data = random_data(rng, max_abs=4)
         other = permuted_negated_copy(rng, data)
         assert canonical_key(data) == canonical_key(other)
-
-
-def test_canonical_form_preserves_rigidity():
-    rng = random.Random(22)
-    for _ in range(25):
-        data = random_data(rng, max_abs=4)
-        base, canon = is_rigid(data), is_rigid(canonical_form(data))
-        assert base.rigid == canon.rigid
-
-
-def test_canonical_form_idempotent():
-    rng = random.Random(23)
-    for _ in range(25):
-        data = random_data(rng, max_abs=4)
-        canon = canonical_form(data)
-        assert canonical_form(canon) == canon
 
 
 # -- enumeration ----------------------------------------------------------------

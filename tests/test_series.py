@@ -212,7 +212,8 @@ def test_genus_series_order_guard():
 
 
 def test_series_is_constant_zero_series():
-    assert series_is_constant(SeriesU.zero(-2, 5)) == PolyXY.zero()
+    zero = SeriesU(-2, 5, (PolyXY.zero(),) * 7)
+    assert series_is_constant(zero) == PolyXY.zero()
 
 
 # -- oracle agreement -----------------------------------------------------------
@@ -233,7 +234,8 @@ def test_truncation_stability():
     data = FixedPointData(2, (FixedPoint((1, 2), 1), FixedPoint((-1, -2), 1)))
     s12 = genus_series(data, TXY, 12)
     s16 = genus_series(data, TXY, 16)
-    assert s16.truncate(order=12) == s12
+    assert s16.lowest == s12.lowest
+    assert s16.coeffs[: 12 - s12.lowest] == s12.coeffs
     witness = next(
         k for k in range(s12.lowest, s12.order) if k != 0 and not s12.coeff(k).is_zero()
     )
