@@ -26,8 +26,8 @@ rational values rendered as reduced fraction strings.
 Exit codes: 0 rigid / constant / success, 1 completed with a negative
 verdict, 2 input or usage error.  Data whose exact check or series would
 exceed its work bound (``genera.MAX_DEFECT_WORK``,
-``series.MAX_SERIES_WORK``) is an input error, as are search bounds above
-``search.MAX_SEARCH_CANDIDATES`` raw candidates and ``search --jobs``
+``series.MAX_SERIES_WORK``) is an input error, as are search bounds whose
+join work exceeds ``search.MAX_SEARCH_WORK`` and ``search --jobs``
 below 1; the search runs at most ``os.cpu_count()`` workers whatever
 ``--jobs`` asks for.
 """

@@ -21,13 +21,29 @@ e_i is the rational condition
 Every rung is a proved necessary condition, so no rigid datum is lost;
 only keys that pass become data for the exact z-domain check.
 
-For two points the search walks only the pairs that pass the pairing
-rung: the generator takes partners from the first point's group of equal
-sorted weight magnitudes, a group that negation maps to itself.  The
-candidate count is still the number of all classes in range, found
-without walking them by Burnside's lemma over the negation involution,
-so ``candidates == len(list(enumerate_data(params)))`` holds and the
-pairing rejects are the classes the walk skipped.
+The search reaches only the keys that pass one more necessary condition,
+the evaluation invariant.  Give each point (e, w) the residue
+
+    f(e, w) = e * prod_j r(w_j) - e * 2^{s+} * (-1)^{s-}   (mod P),
+
+where P = 2^61 - 1 is prime, r(w) = (2 * 3^w + 1) / (3^w - 1) is the
+factor (x z^w + y) / (z^w - 1) at (x, y, z) = (2, 1, 3), and the second
+term is the point's Atiyah-Hirzebruch monomial there.  A rigid datum
+satisfies the rational identity at (2, 1, 3), where no denominator
+vanishes, so the residues of its points sum to 0 mod P: reduction mod P
+is a ring map on the rationals whose denominators are units mod P, and
+each 3^a - 1 is a unit because the order of 3 mod P,
+256,204,778,801,521,550, is far above every weight the search guard
+admits.  The invariant only rejects; the exact check decides every rigid
+verdict.
+
+Because f is additive, the search joins instead of walking: for each
+prefix of m - 1 points it takes the last point from the hash bucket of
+the residue that makes the sum 0.  The candidate count is still the
+number of all classes in range, found without walking them by
+Burnside's lemma over the negation involution, so
+``candidates == len(list(enumerate_data(params)))`` holds and the
+evaluation rejects are the classes the join skipped.
 """
 
 from __future__ import annotations
@@ -37,17 +53,22 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, prod
+from math import comb, gcd, prod
 from typing import Iterator, NamedTuple, Optional
 
 from .classify import FamilyTag, classify_two_points
 from .genera import FixedPoint, FixedPointData, GenusReport, is_rigid, limit_terms, limits_cancel
 
-# Enumeration guard: SearchParams refuses bounds with more raw candidates
-# (multisets of m points, before the negation quotient) than this.  Desk
-# n = 4 has 1.0e6 and takes seconds; the bound is about a hundred times
-# that.
-MAX_SEARCH_CANDIDATES = 10**8
+# Search work guard: SearchParams refuses bounds whose join work, P point
+# residues plus comb(P + m - 2, m - 1) prefix lookups for P points in
+# range, exceeds this.  Two points at n = 8 are admitted up to weight 7
+# (8.1e5 steps) and refused from weight 8 (2.0e6).
+MAX_SEARCH_WORK = 1 << 20
+
+# The evaluation invariant's prime, a Mersenne prime, and the order of 3
+# modulo it; 3^a - 1 is a unit mod P for every 0 < a < ORDER_OF_3.
+MODULUS = (1 << 61) - 1
+ORDER_OF_3 = 256204778801521550
 
 PointKey = tuple[int, tuple[int, ...]]
 DataKey = tuple[PointKey, ...]
@@ -74,8 +95,8 @@ class SearchParams:
     ``sign_patterns`` is None for all sign assignments, or an explicit
     tuple of patterns (each a tuple of m entries +1/-1).  With
     ``require_effective`` only data with overall weight gcd 1 is kept.
-    Bounds with more than MAX_SEARCH_CANDIDATES raw candidates raise
-    ValueError.
+    Bounds whose join work exceeds MAX_SEARCH_WORK (see there) raise
+    ValueError; the weights they admit stay far below ORDER_OF_3.
     """
 
     n: int
@@ -95,13 +116,14 @@ class SearchParams:
                 if len(p) != self.m or any(s not in (1, -1) for s in p):
                     raise ValueError("each sign pattern needs m entries of +1/-1")
             object.__setattr__(self, "sign_patterns", patterns)
-        cap = MAX_SEARCH_CANDIDATES
+        cap = MAX_SEARCH_WORK
         points = 2 * _capped_comb(2 * self.max_abs_weight + self.n - 1, self.n, cap)
-        raw = _capped_comb(points + self.m - 1, self.m, cap)
-        if raw > cap:
+        work = points + _capped_comb(points + self.m - 2, self.m - 1, cap)
+        if work > cap:
             raise ValueError(
-                f"the bounds give at least {raw} raw candidates (multisets of"
-                f" {self.m} points), above the bound {cap}"
+                f"the bounds give at least {work} join steps ({points} point"
+                f" residues plus one lookup per {self.m - 1}-point prefix),"
+                f" above the bound {cap}"
             )
 
 
@@ -145,38 +167,73 @@ def _magnitudes(weights: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(abs(w) for w in weights))
 
 
+def _ratios(bound: int) -> dict[int, int]:
+    """r(w) = (2 * 3^w + 1) / (3^w - 1) mod MODULUS for 0 < |w| <= bound,
+    with r(-a) = -(2 + 3^a) / (3^a - 1); one inversion per magnitude."""
+    ratios = {}
+    for a in range(1, bound + 1):
+        power = pow(3, a, MODULUS)
+        inverse = pow(power - 1, -1, MODULUS)
+        ratios[a] = (2 * power + 1) * inverse % MODULUS
+        ratios[-a] = -(2 + power) * inverse % MODULUS
+    return ratios
+
+
+def _residue(point: PointKey, ratios: dict[int, int]) -> int:
+    """The point's evaluation residue f: its share of the genus sum at
+    (x, y, z) = (2, 1, 3) minus its Atiyah-Hirzebruch monomial, mod
+    MODULUS."""
+    sign, weights = point
+    value = sign
+    for w in weights:
+        value = value * ratios[w] % MODULUS
+    plus = sum(1 for w in weights if w > 0)
+    return (value - sign * 2**plus * (-1) ** (len(weights) - plus)) % MODULUS
+
+
 def _enumerate_shard(
-    params: SearchParams, shard: int, shards: int, _paired: bool = False
+    params: SearchParams, shard: int, shards: int, _join: bool = False
 ) -> Iterator[DataKey]:
     """The canonical keys whose first point has an index congruent to
-    ``shard`` modulo ``shards`` in the sorted point list.  With ``_paired``
-    (two points only) just the keys whose points have equal sorted weight
-    magnitudes, in the same order."""
+    ``shard`` modulo ``shards`` in the sorted point list, in order.  With
+    ``_join`` just the keys whose point residues sum to 0 mod MODULUS, in
+    the same order: the last point comes from the residue's hash bucket
+    instead of the rest of the point list."""
     points = _points(params)
+    total = len(points)
     index = {point: i for i, point in enumerate(points)}
     negated = [index[_negate_point(point)] for point in points]
     signs = _sign_multisets(params)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    if _paired:
-        for i, (_, weights) in enumerate(points):
-            groups.setdefault(_magnitudes(weights), []).append(i)
-    for first in range(shard, len(points), shards):
-        if _paired:
-            group = groups[_magnitudes(points[first][1])]
-            rests = ((j,) for j in group[bisect_left(group, first):])
-        else:
-            rests = combinations_with_replacement(range(first, len(points)), params.m - 1)
-        for rest in rests:
-            chosen = (first, *rest)
-            # indices order like the keys they stand for
-            if tuple(sorted([negated[i] for i in chosen])) < chosen:
-                continue
-            key = tuple(points[i] for i in chosen)
-            if signs is not None and tuple(sign for sign, _ in key) not in signs:
-                continue
-            if params.require_effective and gcd(*(w for _, ws in key for w in ws)) != 1:
-                continue
-            yield key
+    m = params.m
+    if _join:
+        ratios = _ratios(params.max_abs_weight)
+        residues = [_residue(point, ratios) for point in points]
+        buckets: dict[int, list[int]] = {}
+        for i, value in enumerate(residues):
+            buckets.setdefault(value, []).append(i)
+    for first in range(shard, total, shards):
+        # combinations_with_replacement copies its pool, which would cost
+        # O(P) per first point for the empty middles of m = 2
+        middles = combinations_with_replacement(range(first, total), m - 2) if m > 2 else [()]
+        for middle in middles:
+            prefix = (first, *middle)[: m - 1]  # a one-point key is its own last point
+            low, high = (prefix[-1], total) if prefix else (first, first + 1)
+            if _join:
+                bucket = buckets.get(-sum(map(residues.__getitem__, prefix)) % MODULUS, ())
+                lasts = bucket[bisect_left(bucket, low) : bisect_left(bucket, high)]
+            else:
+                lasts = range(low, high)
+            for last in lasts:
+                chosen = (*prefix, last)
+                # indices order like the keys they stand for
+                if tuple(sorted([negated[i] for i in chosen])) < chosen:
+                    continue
+                key = tuple(points[i] for i in chosen)
+                if signs is not None and tuple(sign for sign, _ in key) not in signs:
+                    continue
+                if params.require_effective and gcd(*(w for _, ws in key for w in ws)) != 1:
+                    continue
+                yield key
 
 
 def enumerate_data(params: SearchParams) -> Iterator[FixedPointData]:
@@ -184,36 +241,65 @@ def enumerate_data(params: SearchParams) -> Iterator[FixedPointData]:
     return (_data_from_key(params.n, key) for key in _enumerate_shard(params, 0, 1))
 
 
-def _count_pair_classes(params: SearchParams) -> int:
-    """The number of canonical two-point keys in range, which is the length
-    of the ``enumerate_data`` stream, without walking them.
+def _multisets(items: int, size: int) -> int:
+    return comb(items + size - 1, size) if items else int(size == 0)
+
+
+def _count_classes(params: SearchParams) -> int:
+    """The number of canonical keys in range, which is the length of the
+    ``enumerate_data`` stream, without walking them.
 
     Burnside's lemma over the negation involution gives
-    (|X| + |Fix|) / 2 classes, where X holds the point multisets {p, q}
-    that pass the filters and Fix those that negation maps to themselves:
-    both points self-negating, or q = -p.  Negation keeps a point's sign
-    and weight gcd, so the points are counted in bins by (sign, gcd) and
-    the filters apply per bin pair."""
-    bins: dict[tuple[int, int], list[int]] = {}  # bin -> [points, self-negating]
-    for point in _points(params):
-        tally = bins.setdefault((point[0], gcd(*point[1])), [0, 0])
-        tally[0] += 1
-        tally[1] += _negate_point(point) == point
+    (|X| + |Fix|) / 2 classes, where X holds the multisets of m points
+    that pass the filters and Fix those that negation maps to themselves.
+    Negation keeps a point's sign and weight gcd, so the points fall into
+    (sign, gcd) bins, each with s self-negating points and t pairs
+    {q, -q}; a fixed multiset takes c points from a bin in
+    [u^c] (1 - u)^-s (1 - u^2)^-t ways.  A dynamic program over the bins
+    tracks (points taken, + signs taken, gcd so far), which is all the
+    filters read."""
+    n, m, bound = params.n, params.m, params.max_abs_weight
+    # per gcd g: points with weight gcd exactly g, and the self-negating
+    # ones (symmetric weight multisets, fixed by their n / 2 positive
+    # weights), from the counts for all multiples of g
+    exact: dict[int, tuple[int, int]] = {}
+    for g in range(bound, 0, -1):
+        k = bound // g
+        count = _multisets(2 * k, n)
+        fixed = _multisets(k, n // 2) if n % 2 == 0 else 0
+        for h in range(2 * g, bound + 1, g):
+            count -= exact[h][0]
+            fixed -= exact[h][1]
+        exact[g] = (count, fixed)
+    states = {(0, 0, 0): (1, 1)}  # (size, plus, gcd) -> (multisets, fixed)
+    for sign in (1, -1):
+        for g, (count, fixed) in exact.items():
+            pairs = (count - fixed) // 2
+            grown: dict[tuple[int, int, int], tuple[int, int]] = {}
+            for (size, plus, common), (ways, fixes) in states.items():
+                for c in range(m - size + 1):
+                    key = (size + c, plus + c * (sign > 0), gcd(common, g) if c else common)
+                    add = _multisets(count, c)
+                    if not add:
+                        break
+                    add_fixed = sum(
+                        _multisets(pairs, j) * _multisets(fixed, c - 2 * j)
+                        for j in range(c // 2 + 1)
+                    )
+                    old = grown.get(key, (0, 0))
+                    grown[key] = (old[0] + ways * add, old[1] + fixes * add_fixed)
+            states = grown
     signs = _sign_multisets(params)
-    pairs = fixed = 0
-    for a, b in combinations_with_replacement(sorted(bins), 2):
-        if signs is not None and tuple(sorted((a[0], b[0]))) not in signs:
+    total = 0
+    for (size, plus, common), (ways, fixes) in states.items():
+        if size != m:
             continue
-        if params.require_effective and gcd(a[1], b[1]) != 1:
+        if signs is not None and (-1,) * (m - plus) + (1,) * plus not in signs:
             continue
-        (count_a, self_a), (count_b, self_b) = bins[a], bins[b]
-        if a == b:
-            pairs += count_a * (count_a + 1) // 2
-            fixed += self_a * (self_a + 1) // 2 + (count_a - self_a) // 2
-        else:
-            pairs += count_a * count_b
-            fixed += self_a * self_b
-    return (pairs + fixed) // 2
+        if params.require_effective and common != 1:
+            continue
+        total += ways + fixes
+    return total // 2
 
 
 class _PointFacts(NamedTuple):
@@ -231,22 +317,26 @@ def _point_facts(sign: int, weights: tuple[int, ...]) -> _PointFacts:
 
 
 class PruneCounts(NamedTuple):
-    """Candidates rejected by each rung of the prune rule, in rung order."""
+    """Candidates rejected by each rung, in rung order: the evaluation
+    invariant (the classes the join skipped), then the rungs of the prune
+    rule on the join's keys."""
 
+    evaluation: int
     pairing: int
     limit_symmetry: int
     principal_part: int
 
 
 def _failed_rung(facts: list[_PointFacts]) -> Optional[int]:
-    """The index in ``PruneCounts`` of the first rung the facts of a datum's
-    points fail, cheapest first, or None when every rung passes."""
+    """The index in ``PruneCounts`` of the first prune-rule rung the facts
+    of a datum's points fail, cheapest first, or None when every rung
+    passes."""
     if len(facts) == 2 and facts[0].magnitudes != facts[1].magnitudes:
-        return 0
-    if not limits_cancel(f.limit for f in facts):
         return 1
-    if sum(f.principal for f in facts) != 0:
+    if not limits_cancel(f.limit for f in facts):
         return 2
+    if sum(f.principal for f in facts) != 0:
+        return 3
     return None
 
 
@@ -282,19 +372,18 @@ class SearchOutcome:
 
 
 def _search_shard(args) -> tuple[list, list[int]]:
-    """One shard's rigid results and its walked-key counts: per rung the
-    keys that rung rejected, then the keys checked exactly.  Two-point
-    shards walk only the keys that pass the pairing rung."""
+    """One shard's rigid results and its counts of the join's keys: per
+    ``PruneCounts`` rung the keys that rung rejected (none for evaluation,
+    which the join applies), then the keys checked exactly."""
     params, shard, shards = args
-    facts = {point: _point_facts(*point) for point in _points(params)}
     results = []
-    counts = [0, 0, 0, 0]  # rejected by each rung, then checked
-    for key in _enumerate_shard(params, shard, shards, params.m == 2):
-        rung = _failed_rung([facts[point] for point in key])
+    counts = [0] * (len(PruneCounts._fields) + 1)
+    for key in _enumerate_shard(params, shard, shards, True):
+        rung = _failed_rung([_point_facts(*point) for point in key])
         if rung is not None:
             counts[rung] += 1
             continue
-        counts[3] += 1
+        counts[-1] += 1
         data = _data_from_key(params.n, key)
         report = is_rigid(data)
         if report.rigid:
@@ -318,18 +407,17 @@ def search_rigid(params: SearchParams, jobs: int = 1) -> SearchOutcome:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        results, counts = [], [0, 0, 0, 0]
+        results, counts = [], [0] * (len(PruneCounts._fields) + 1)
         with ProcessPoolExecutor(max_workers=shards) as pool:
             for shard_results, shard_counts in pool.map(
                 _search_shard, [(params, i, shards) for i in range(shards)]
             ):
                 results.extend(shard_results)
                 counts = [a + b for a, b in zip(counts, shard_counts)]
-    walked = sum(counts)
-    candidates = _count_pair_classes(params) if params.m == 2 else walked
-    counts[0] += candidates - walked
+    candidates = _count_classes(params)
+    counts[0] = candidates - sum(counts)
     results.sort(key=lambda r: tuple(_point_key(p) for p in r.data.points))
     return SearchOutcome(
         tuple(results),
-        SearchSummary(candidates, counts[3], len(results), PruneCounts(*counts[:3])),
+        SearchSummary(candidates, counts[-1], len(results), PruneCounts(*counts[:-1])),
     )

@@ -3,6 +3,7 @@ from itertools import product
 from math import gcd
 
 from txyrigid import FixedPoint, FixedPointData
+from txyrigid.search import MODULUS, _enumerate_shard, _ratios, _residue
 
 try:
     from hypothesis import configuration, settings
@@ -53,3 +54,20 @@ def raw_stream(n, m, max_abs, sign_patterns=None, require_effective=False):
         if require_effective and gcd(*(w for _, ws in key for w in ws)) != 1:
             continue
         yield FixedPointData(n, tuple(FixedPoint(weights, sign) for sign, weights in key))
+
+
+def paired_keys(params):
+    """The two-point keys of the full walk whose points have the same
+    sorted weight magnitudes (the keys that pass the pairing rung)."""
+    return [
+        key
+        for key in _enumerate_shard(params, 0, 1)
+        if sorted(map(abs, key[0][1])) == sorted(map(abs, key[1][1]))
+    ]
+
+
+def residue_sum(data: FixedPointData) -> int:
+    """The sum of the points' evaluation residues mod the search's prime;
+    0 for every rigid datum."""
+    ratios = _ratios(max(abs(w) for p in data.points for w in p.weights))
+    return sum(_residue((p.sign, p.weights), ratios) for p in data.points) % MODULUS

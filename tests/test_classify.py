@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import paired_keys
 from txyrigid import classify, genera
 from txyrigid.algebra import PolyXY
 from txyrigid.classify import (
@@ -19,7 +20,7 @@ from txyrigid.classify import (
 )
 from txyrigid.cli import main
 from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, rigidity_defect
-from txyrigid.search import SearchParams, _data_from_key, _enumerate_shard, enumerate_data
+from txyrigid.search import SearchParams, _data_from_key, enumerate_data
 
 X = PolyXY.x()
 Y = PolyXY.y()
@@ -189,10 +190,10 @@ def test_replay_rejects_z_and_unpaired():
 def test_replay_balance_matches_defect_rule_on_paired_walk():
     # the weight-only balance against the rule it replaces (the y = 0 part
     # of the defect, kept at y = 1, is its x^n coefficient) on every
-    # paired non-Z key the two-point search walks
+    # paired non-Z key of the two-point full walk
     keys = balanced = 0
     for n, bound in ((1, 5), (2, 5), (3, 5), (4, 3)):
-        for key in _enumerate_shard(SearchParams(n, 2, bound), 0, 1, True):
+        for key in paired_keys(SearchParams(n, 2, bound)):
             data = _data_from_key(n, key)
             if _is_family_z(*data.points):
                 continue

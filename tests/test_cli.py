@@ -401,7 +401,7 @@ def test_search_enumeration_guard_exits_two_fast(capsys):
     )
     assert time.perf_counter() - start < 1.0
     assert status == 2 and out == ""
-    assert "raw candidates" in err and "above the bound" in err
+    assert "join steps" in err and "above the bound" in err
 
 
 PINNED_SEARCH = os.path.join(
@@ -469,7 +469,9 @@ def test_search_summary_counts_each_prune_rung(capsys):
     status, out, _ = run_cli(capsys, ["search", "--n", "2", "--m", "2", "--max-weight", "5"])
     summary = json.loads(out.splitlines()[-1])
     assert status == 0
-    assert summary["pruned_by"] == {"pairing": 2840, "limit_symmetry": 145, "principal_part": 80}
+    assert summary["pruned_by"] == {
+        "evaluation": 3075, "pairing": 0, "limit_symmetry": 0, "principal_part": 0,
+    }
     assert sum(summary["pruned_by"].values()) == summary["pruned"]
     assert summary["params"] == {
         "n": 2, "m": 2, "max_weight": 5, "signs": "all", "effective_only": False,

@@ -6,6 +6,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, strategies as st
 
+from conftest import residue_sum
 from txyrigid.classify import (
     _is_family_z,
     classify_two_points,
@@ -82,3 +83,20 @@ def test_classify_invariant_under_order_and_negation(data):
     assert classify_two_points(FixedPointData(base.n, tuple(points))) == tag
     negated = tuple(FixedPoint(tuple(-w for w in p.weights), p.sign) for p in points)
     assert classify_two_points(FixedPointData(base.n, negated)).kind == tag.kind
+
+
+@st.composite
+def family_members(draw):
+    """Members of the rigid two-point families Z, L1 and S3."""
+    kind = draw(st.sampled_from(("Z", "L1", "S3")))
+    if kind == "Z":
+        return make_z(draw(_weights(draw(st.integers(1, 6)), max_abs=40)))
+    if kind == "L1":
+        return make_l1(draw(st.integers(1, 10**4)))
+    return make_s3(draw(st.integers(1, 200)), draw(st.integers(1, 200)))
+
+
+@given(family_members())
+def test_rigid_family_residues_sum_to_zero(data):
+    # the evaluation invariant the search joins on holds on every rigid datum
+    assert residue_sum(data) == 0

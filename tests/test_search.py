@@ -2,13 +2,17 @@ import random
 
 import pytest
 
-from conftest import random_data, raw_stream
+from conftest import paired_keys, random_data, raw_stream, residue_sum
 from txyrigid.classify import make_l1, make_s3, make_z
 from txyrigid.genera import FixedPoint, FixedPointData, is_rigid
 from txyrigid.search import (
-    MAX_SEARCH_CANDIDATES,
+    MAX_SEARCH_WORK,
+    MODULUS,
+    ORDER_OF_3,
     PruneCounts,
     SearchParams,
+    _count_classes,
+    _data_from_key,
     _enumerate_shard,
     canonical_key,
     enumerate_data,
@@ -99,6 +103,9 @@ def test_two_point_candidate_count_matches_enumeration(n, bound):
         SearchParams(n=2, m=1, max_abs_weight=2, require_effective=True),
         SearchParams(n=1, m=3, max_abs_weight=2),
         SearchParams(n=2, m=3, max_abs_weight=2, sign_patterns=((1, 1, -1), (-1, -1, -1))),
+        SearchParams(n=1, m=4, max_abs_weight=3),
+        SearchParams(n=2, m=4, max_abs_weight=2, sign_patterns=((1, 1, -1, -1),)),
+        SearchParams(n=2, m=4, max_abs_weight=2, require_effective=True),
     ],
 )
 def test_candidate_count_matches_enumeration_off_two_points(params):
@@ -109,15 +116,49 @@ def test_candidate_count_matches_enumeration_off_two_points(params):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_paired_walk_is_the_keys_that_pass_pairing(n):
+    # the two-point join reaches only keys that pass pairing, and every
+    # rigid one of them; here those are exactly its keys
     for signs in SIGN_SETS:
         for effective in (False, True):
             params = SearchParams(n, 2, 3, signs, effective)
-            passing = [
-                key
-                for key in _enumerate_shard(params, 0, 1)
-                if sorted(map(abs, key[0][1])) == sorted(map(abs, key[1][1]))
+            rigid = [
+                key for key in paired_keys(params) if is_rigid(_data_from_key(n, key)).rigid
             ]
-            assert list(_enumerate_shard(params, 0, 1, True)) == passing
+            assert list(_enumerate_shard(params, 0, 1, True)) == rigid
+
+
+# sign sets per point count: all, one pattern, two patterns
+SIGN_SETS_BY_M = {
+    1: (None, ((1,),), ((1,), (-1,))),
+    2: SIGN_SETS,
+    3: (None, ((1, 1, -1),), ((1, 1, 1), (-1, -1, 1))),
+    4: (None, ((1, 1, -1, -1),), ((1, 1, 1, -1), (-1, -1, -1, -1))),
+}
+
+
+@pytest.mark.parametrize(
+    "m, sizes",
+    [
+        (1, [(n, w) for n in (1, 2, 3) for w in (0, 1, 2, 3)]),
+        (2, [(n, w) for n in (1, 2, 3) for w in (0, 1, 2, 3)]),
+        (3, [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]),
+        (4, [(1, 1), (1, 2), (2, 1)]),
+    ],
+)
+def test_join_is_the_full_walk_filtered_by_residues(m, sizes):
+    # in order, and whatever the sharding
+    for n, bound in sizes:
+        for signs in SIGN_SETS_BY_M[m]:
+            for effective in (False, True):
+                params = SearchParams(n, m, bound, signs, effective)
+                full = list(_enumerate_shard(params, 0, 1))
+                assert _count_classes(params) == len(full)
+                kept = [
+                    key for key in full if residue_sum(_data_from_key(n, key)) == 0
+                ]
+                assert list(_enumerate_shard(params, 0, 1, True)) == kept
+                shards = [list(_enumerate_shard(params, i, 3, True)) for i in range(3)]
+                assert sorted(key for shard in shards for key in shard) == sorted(kept)
 
 
 def test_enumerate_single_point_classes():
@@ -161,8 +202,51 @@ def test_search_params_validation():
     # n = 8, W = 12 has about 1.2e14 raw candidates; n = W = 10^6 must be
     # refused without computing its full binomial counts
     for n, w in ((8, 12), (10**6, 10**6)):
-        with pytest.raises(ValueError, match=str(MAX_SEARCH_CANDIDATES)):
+        with pytest.raises(ValueError, match=str(MAX_SEARCH_WORK)):
             SearchParams(n=n, m=2, max_abs_weight=w)
+
+
+def test_search_guard_bounds_join_work():
+    # two points at n = 8: weight 7 is admitted, weight 8 refused; the
+    # reach sizes are admitted although their raw pair counts are large
+    SearchParams(n=8, m=2, max_abs_weight=7)
+    with pytest.raises(ValueError, match=str(MAX_SEARCH_WORK)):
+        SearchParams(n=8, m=2, max_abs_weight=8)
+    SearchParams(n=6, m=2, max_abs_weight=6)
+    SearchParams(n=2, m=3, max_abs_weight=18)
+    with pytest.raises(ValueError, match="1100385 join steps"):
+        SearchParams(n=2, m=3, max_abs_weight=19)
+
+
+# -- the evaluation invariant -----------------------------------------------------
+
+
+def test_modulus_is_prime_and_order_of_3_is_exact():
+    # Lucas-Lehmer for the Mersenne prime 2^61 - 1
+    residue = 4
+    for _ in range(61 - 2):
+        residue = (residue * residue - 2) % MODULUS
+    assert MODULUS == 2**61 - 1 and residue == 0
+    factors = (2, 5, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321)
+    product = 1
+    for q in factors:
+        assert all(q % d for d in range(2, q))  # each factor is prime
+        product *= q
+    assert product == ORDER_OF_3
+    assert pow(3, ORDER_OF_3, MODULUS) == 1
+    assert all(pow(3, ORDER_OF_3 // q, MODULUS) != 1 for q in set(factors))
+    # so 3^a - 1 is a unit mod P for every weight the guard admits
+    assert MAX_SEARCH_WORK < ORDER_OF_3
+
+
+def test_residues_sum_to_zero_on_brute_force_rigid_three_point_data():
+    params = SearchParams(n=2, m=3, max_abs_weight=3)
+    rigid = [data for data in enumerate_data(params) if is_rigid(data).rigid]
+    assert len(rigid) == 14
+    assert all(residue_sum(data) == 0 for data in rigid)
+    # and the search, which reaches only such data, finds every one
+    found = [r.data for r in search_rigid(params).results]
+    assert {canonical_key(d) for d in found} == {canonical_key(d) for d in rigid}
 
 
 # -- pruning ---------------------------------------------------------------------
@@ -227,7 +311,7 @@ def test_search_completeness_against_unpruned_brute_force():
 def test_search_single_point_has_no_rigid_data():
     outcome = search_rigid(SearchParams(n=1, m=1, max_abs_weight=3))
     assert outcome.results == ()
-    assert outcome.summary.checked == 0  # everything pruned by limit symmetry
+    assert outcome.summary.checked == 0  # everything pruned by evaluation
 
 
 def test_search_deterministic():
@@ -246,6 +330,8 @@ def test_search_jobs_match_sequential():
             n=3, m=2, max_abs_weight=3, sign_patterns=((1, -1),), require_effective=True
         ),
         SearchParams(n=2, m=3, max_abs_weight=2, sign_patterns=((1, 1, -1),)),
+        SearchParams(n=2, m=3, max_abs_weight=3, require_effective=True),
+        SearchParams(n=1, m=4, max_abs_weight=3),
     ):
         sequential = search_rigid(params, jobs=1)
         parallel = search_rigid(params, jobs=3)
@@ -263,24 +349,31 @@ def test_search_counts_are_consistent():
 
 
 def test_prune_counts_per_rung():
-    # every rung fires at desk n = 4
-    s = search_rigid(SearchParams(n=4, m=2, max_abs_weight=5)).summary
-    assert (s.candidates, s.pruned, s.checked, s.rigid) == (512165, 511195, 970, 365)
+    # at desk n = 4 the join reaches exactly the rigid keys
+    params = SearchParams(n=4, m=2, max_abs_weight=5)
+    s = search_rigid(params).summary
+    assert (s.candidates, s.pruned, s.checked, s.rigid) == (512165, 511800, 365, 365)
     assert s.pruned_by == PruneCounts(
-        pairing=503620, limit_symmetry=6135, principal_part=1440
+        evaluation=511800, pairing=0, limit_symmetry=0, principal_part=0
     )
-    # the walk reaches only the 8,545 keys that pass pairing
-    assert s.candidates - s.pruned_by.pairing == 8545
+    # the public prune keeps 970 of the 8,545 keys that pass pairing
+    paired = paired_keys(params)
+    assert len(paired) == 8545
+    assert sum(prune(_data_from_key(4, key)) for key in paired) == 970
 
 
 def test_prune_counts_match_the_public_rule():
+    # the rungs count the keys with residue sum 0 that the public rule
+    # rejects, first failing rung first
     params = SearchParams(n=2, m=2, max_abs_weight=3)
     s = search_rigid(params).summary
-    kept = sum(prune(data) for data in enumerate_data(params))
+    joined = [data for data in enumerate_data(params) if residue_sum(data) == 0]
+    kept = sum(prune(data) for data in joined)
     assert (s.checked, s.pruned) == (kept, s.candidates - kept)
+    assert s.pruned_by.evaluation == s.candidates - len(joined)
     unpaired = sum(
         sorted(map(abs, d.points[0].weights)) != sorted(map(abs, d.points[1].weights))
-        for d in enumerate_data(params)
+        for d in joined
     )
     assert s.pruned_by.pairing == unpaired
 
@@ -310,6 +403,11 @@ def test_search_three_points_reports_unclassified():
     assert canonical_key(data) in {canonical_key(r.data) for r in outcome.results}
 
 
+def test_search_three_points_count():
+    s = search_rigid(SearchParams(n=2, m=3, max_abs_weight=4)).summary
+    assert (s.candidates, s.rigid) == (32600, 28)
+
+
 # -- reach: the classification beyond the desk range ---------------------------
 
 
@@ -318,8 +416,9 @@ def test_search_three_points_reports_unclassified():
     "params, counts",
     [
         # candidates agree with a full walk of enumerate_data
-        (SearchParams(n=5, m=2, max_abs_weight=5), (4010006, 8503, 1001)),
-        (SearchParams(n=6, m=2, max_abs_weight=3), (214006, 749, 236)),
+        (SearchParams(n=5, m=2, max_abs_weight=5), (4010006, 1001, 1001)),
+        (SearchParams(n=6, m=2, max_abs_weight=3), (214006, 236, 236)),
+        (SearchParams(n=6, m=2, max_abs_weight=6), (153180888, 6216, 6216)),
     ],
 )
 def test_reach_two_point_search_finds_z_only(params, counts):
