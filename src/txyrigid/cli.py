@@ -24,7 +24,7 @@ canonical form (no platform width limits).  Reports are JSON with all
 rational values rendered as reduced fraction strings.
 
 Exit codes: 0 rigid / constant / success, 1 completed with a negative
-verdict, 2 input or usage error.  Data whose exact check or series would
+verdict, 2 input or usage error, 141 the reader closed stdout early.  Data whose exact check or series would
 exceed its work bound (``genera.MAX_DEFECT_WORK``,
 ``series.MAX_SERIES_WORK``) is an input error, as are search bounds whose
 join work exceeds ``search.MAX_SEARCH_WORK`` and ``search --jobs``
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -396,7 +397,6 @@ def run_search(args) -> int:
         "type": "summary",
         "candidates": outcome.summary.candidates,
         "pruned": outcome.summary.pruned,
-        "pruned_by": outcome.summary.pruned_by._asdict(),
         "checked": outcome.summary.checked,
         "rigid": outcome.summary.rigid,
         "params": {
@@ -489,4 +489,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # exit as a writer killed by SIGPIPE would; stdout goes to devnull
+        # so that the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

@@ -126,29 +126,17 @@ def ah_constant(data: FixedPointData) -> PolyXY:
     return PolyXY(((i, j), c) for i, j, c in _signed_monomials(data))
 
 
-def limit_terms(sign: int, weights) -> tuple[tuple[int, int, int], ...]:
-    """One point's share of the limit-symmetry condition: its signed
-    monomial and the negated swapped one, as (x-exponent, y-exponent,
-    coefficient) triples."""
-    i, j, c = _signed_monomial(sign, weights)
-    k, h, d = _signed_monomial(sign, weights, swapped=True)
-    return (i, j, c), (k, h, -d)
-
-
-def limits_cancel(point_terms) -> bool:
-    """Whether the points' limit terms (see ``limit_terms``) sum to zero."""
-    total: Counter = Counter()
-    for terms in point_terms:
-        for i, j, c in terms:
-            total[i, j] += c
-    return not any(total.values())
-
-
 def limit_symmetry(data: FixedPointData) -> bool:
     """Necessary condition for rigidity from the z -> infinity and z -> 0
     limits of the fixed-point sum: the signed monomial sum must be
     invariant under swapping each point's positive and negative counts."""
-    return limits_cancel(limit_terms(p.sign, p.weights) for p in data.points)
+    total: Counter = Counter()
+    for p in data.points:
+        i, j, c = _signed_monomial(p.sign, p.weights)
+        k, h, d = _signed_monomial(p.sign, p.weights, swapped=True)
+        total[i, j] += c
+        total[k, h] -= d
+    return not any(total.values())
 
 
 def weight_gcd(data: FixedPointData) -> int:

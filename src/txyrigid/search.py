@@ -10,19 +10,15 @@ smaller of the datum and its global weight negation.
 One generator yields the canonical keys, sharded by their first point:
 sorted point multisets minimal under negation, filtered by sign multiset
 (a sign pattern stands for its sorted tuple) and, when asked, by weight
-gcd.  The prune rule runs on keys, from per-point facts, with the rungs
-in order of measured cost: the weight-magnitude pairing check (two points
-only), the limit-symmetry check, then the vanishing of the series
-coefficient at the lowest exponent, which for weights w_{ij} and signs
-e_i is the rational condition
+gcd.  ``prune`` is the public filter of proved necessary conditions:
+weight-magnitude pairing (two points only), limit symmetry, and the
+vanishing of the series coefficient at the lowest exponent, which for
+weights w_{ij} and signs e_i is sum_i e_i / prod_j w_{ij} = 0.  The
+search does not run it: the exact z-domain check runs on every key the
+evaluation join reaches, and those are almost all rigid.
 
-    sum_i e_i / prod_j w_{ij} = 0.
-
-Every rung is a proved necessary condition, so no rigid datum is lost;
-only keys that pass become data for the exact z-domain check.
-
-The search reaches only the keys that pass one more necessary condition,
-the evaluation invariant.  Give each point (e, w) the residue
+The join reaches only the keys that pass one necessary condition, the
+evaluation invariant.  Give each point (e, w) the residue
 
     f(e, w) = e * prod_j r(w_j) - e * 2^{s+} * (-1)^{s-}   (mod P),
 
@@ -40,10 +36,16 @@ verdict.
 Because f is additive, the search joins instead of walking: for each
 prefix of m - 1 points it takes the last point from the hash bucket of
 the residue that makes the sum 0.  The candidate count is still the
-number of all classes in range, found without walking them by
-Burnside's lemma over the negation involution, so
-``candidates == len(list(enumerate_data(params)))`` holds and the
-evaluation rejects are the classes the join skipped.
+number of all classes in range, so
+``candidates == len(list(enumerate_data(params)))`` holds and ``pruned``
+is the classes the join skipped; it comes in closed form.  Negation
+keeps each point's sign, so Burnside's lemma gives (|X_k| + |Fix_k|) / 2
+classes with k points of sign +, summed over the allowed k.  Dividing
+every weight by g maps the classes of weight gcd g onto the effective
+classes at bound floor(W / g), so the effective count is, by
+inclusion-exclusion over the common divisor,
+
+    E(W) = C(W) - sum_{g >= 2} E(floor(W / g)).
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, prod
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
-from .classify import FamilyTag, classify_two_points
-from .genera import FixedPoint, FixedPointData, GenusReport, is_rigid, limit_terms, limits_cancel
+from .classify import FamilyTag, classify_two_points, pairing_check
+from .genera import FixedPoint, FixedPointData, GenusReport, is_rigid, limit_symmetry
 
 # Search work guard: SearchParams refuses bounds whose join work, P point
 # residues plus comb(P + m - 2, m - 1) prefix lookups for P points in
@@ -163,10 +165,6 @@ def _sign_multisets(params: SearchParams) -> Optional[set[tuple[int, ...]]]:
     return None if patterns is None else {tuple(sorted(p)) for p in patterns}
 
 
-def _magnitudes(weights: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(abs(w) for w in weights))
-
-
 def _ratios(bound: int) -> dict[int, int]:
     """r(w) = (2 * 3^w + 1) / (3^w - 1) mod MODULUS for 0 < |w| <= bound,
     with r(-a) = -(2 + 3^a) / (3^a - 1); one inversion per magnitude."""
@@ -246,104 +244,60 @@ def _multisets(items: int, size: int) -> int:
 
 
 def _count_classes(params: SearchParams) -> int:
-    """The number of canonical keys in range, which is the length of the
-    ``enumerate_data`` stream, without walking them.
-
-    Burnside's lemma over the negation involution gives
-    (|X| + |Fix|) / 2 classes, where X holds the multisets of m points
-    that pass the filters and Fix those that negation maps to themselves.
-    Negation keeps a point's sign and weight gcd, so the points fall into
-    (sign, gcd) bins, each with s self-negating points and t pairs
-    {q, -q}; a fixed multiset takes c points from a bin in
-    [u^c] (1 - u)^-s (1 - u^2)^-t ways.  A dynamic program over the bins
-    tracks (points taken, + signs taken, gcd so far), which is all the
-    filters read."""
-    n, m, bound = params.n, params.m, params.max_abs_weight
-    # per gcd g: points with weight gcd exactly g, and the self-negating
-    # ones (symmetric weight multisets, fixed by their n / 2 positive
-    # weights), from the counts for all multiples of g
-    exact: dict[int, tuple[int, int]] = {}
-    for g in range(bound, 0, -1):
-        k = bound // g
-        count = _multisets(2 * k, n)
-        fixed = _multisets(k, n // 2) if n % 2 == 0 else 0
-        for h in range(2 * g, bound + 1, g):
-            count -= exact[h][0]
-            fixed -= exact[h][1]
-        exact[g] = (count, fixed)
-    states = {(0, 0, 0): (1, 1)}  # (size, plus, gcd) -> (multisets, fixed)
-    for sign in (1, -1):
-        for g, (count, fixed) in exact.items():
-            pairs = (count - fixed) // 2
-            grown: dict[tuple[int, int, int], tuple[int, int]] = {}
-            for (size, plus, common), (ways, fixes) in states.items():
-                for c in range(m - size + 1):
-                    key = (size + c, plus + c * (sign > 0), gcd(common, g) if c else common)
-                    add = _multisets(count, c)
-                    if not add:
-                        break
-                    add_fixed = sum(
-                        _multisets(pairs, j) * _multisets(fixed, c - 2 * j)
-                        for j in range(c // 2 + 1)
-                    )
-                    old = grown.get(key, (0, 0))
-                    grown[key] = (old[0] + ways * add, old[1] + fixes * add_fixed)
-            states = grown
+    """The number of canonical keys in range, the length of the
+    ``enumerate_data`` stream, in closed form (see the module docstring).
+    Both signs hold the same P points, s self-negating (symmetric weight
+    multisets, fixed by their n / 2 positive weights) and t pairs
+    {q, -q}: |X_k| = M(P, k) M(P, m - k) for M the multiset count, and a
+    fixed multiset takes c points of one sign in [u^c] (1 - u)^-s
+    (1 - u^2)^-t ways.  E is evaluated once per distinct quotient."""
+    n, m = params.n, params.m
     signs = _sign_multisets(params)
-    total = 0
-    for (size, plus, common), (ways, fixes) in states.items():
-        if size != m:
-            continue
-        if signs is not None and (-1,) * (m - plus) + (1,) * plus not in signs:
-            continue
-        if params.require_effective and common != 1:
-            continue
-        total += ways + fixes
-    return total // 2
+    plus_counts = [k for k in range(m + 1) if signs is None or (-1,) * (m - k) + (1,) * k in signs]
 
+    def classes(bound: int) -> int:
+        points = _multisets(2 * bound, n)
+        fixed = _multisets(bound, n // 2) if n % 2 == 0 else 0
+        pairs = (points - fixed) // 2
 
-class _PointFacts(NamedTuple):
-    magnitudes: tuple[int, ...]
-    limit: tuple[tuple[int, int, int], ...]
-    principal: Fraction
+        def fixed_multisets(c: int) -> int:
+            return sum(
+                _multisets(pairs, j) * _multisets(fixed, c - 2 * j) for j in range(c // 2 + 1)
+            )
 
+        return sum(
+            _multisets(points, k) * _multisets(points, m - k)
+            + fixed_multisets(k) * fixed_multisets(m - k)
+            for k in plus_counts
+        ) // 2
 
-def _point_facts(sign: int, weights: tuple[int, ...]) -> _PointFacts:
-    return _PointFacts(
-        _magnitudes(weights),
-        limit_terms(sign, weights),
-        Fraction(sign, prod(weights)),
-    )
+    if not params.require_effective:
+        return classes(params.max_abs_weight)
+    effective: dict[int, int] = {}
 
+    def effective_classes(bound: int) -> int:
+        if bound not in effective:
+            total, g = classes(bound), 2
+            while g <= bound:
+                quotient = bound // g
+                last = bound // quotient  # the last g with this quotient
+                total -= (last - g + 1) * effective_classes(quotient)
+                g = last + 1
+            effective[bound] = total
+        return effective[bound]
 
-class PruneCounts(NamedTuple):
-    """Candidates rejected by each rung, in rung order: the evaluation
-    invariant (the classes the join skipped), then the rungs of the prune
-    rule on the join's keys."""
-
-    evaluation: int
-    pairing: int
-    limit_symmetry: int
-    principal_part: int
-
-
-def _failed_rung(facts: list[_PointFacts]) -> Optional[int]:
-    """The index in ``PruneCounts`` of the first prune-rule rung the facts
-    of a datum's points fail, cheapest first, or None when every rung
-    passes."""
-    if len(facts) == 2 and facts[0].magnitudes != facts[1].magnitudes:
-        return 1
-    if not limits_cancel(f.limit for f in facts):
-        return 2
-    if sum(f.principal for f in facts) != 0:
-        return 3
-    return None
+    return effective_classes(params.max_abs_weight)
 
 
 def prune(data: FixedPointData) -> bool:
     """True = keep.  False only when a proved necessary condition for
-    rigidity fails, so pruning never loses rigid data."""
-    return _failed_rung([_point_facts(p.sign, p.weights) for p in data.points]) is None
+    rigidity fails, so pruning never loses rigid data: weight-magnitude
+    pairing (two points only), limit symmetry, then the principal part."""
+    return (
+        (data.m != 2 or pairing_check(data))
+        and limit_symmetry(data)
+        and sum(Fraction(p.sign, prod(p.weights)) for p in data.points) == 0
+    )
 
 
 @dataclass(frozen=True)
@@ -358,11 +312,11 @@ class SearchSummary:
     candidates: int
     checked: int
     rigid: int
-    pruned_by: PruneCounts
 
     @property
     def pruned(self) -> int:
-        return sum(self.pruned_by)
+        """The classes the evaluation join skipped."""
+        return self.candidates - self.checked
 
 
 @dataclass(frozen=True)
@@ -371,25 +325,18 @@ class SearchOutcome:
     summary: SearchSummary
 
 
-def _search_shard(args) -> tuple[list, list[int]]:
-    """One shard's rigid results and its counts of the join's keys: per
-    ``PruneCounts`` rung the keys that rung rejected (none for evaluation,
-    which the join applies), then the keys checked exactly."""
+def _search_shard(args) -> tuple[list, int]:
+    """One shard's rigid results and the number of join keys it checked."""
     params, shard, shards = args
-    results = []
-    counts = [0] * (len(PruneCounts._fields) + 1)
+    results, checked = [], 0
     for key in _enumerate_shard(params, shard, shards, True):
-        rung = _failed_rung([_point_facts(*point) for point in key])
-        if rung is not None:
-            counts[rung] += 1
-            continue
-        counts[-1] += 1
+        checked += 1
         data = _data_from_key(params.n, key)
         report = is_rigid(data)
         if report.rigid:
             family = classify_two_points(data) if data.m == 2 else None
             results.append(SearchResult(data, report, family))
-    return results, counts
+    return results, checked
 
 
 def search_rigid(params: SearchParams, jobs: int = 1) -> SearchOutcome:
@@ -402,22 +349,18 @@ def search_rigid(params: SearchParams, jobs: int = 1) -> SearchOutcome:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     shards = min(jobs, os.cpu_count() or 1)
+    tasks = [(params, i, shards) for i in range(shards)]
     if shards == 1:
-        results, counts = _search_shard((params, 0, 1))
+        outputs = [_search_shard(tasks[0])]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        results, counts = [], [0] * (len(PruneCounts._fields) + 1)
         with ProcessPoolExecutor(max_workers=shards) as pool:
-            for shard_results, shard_counts in pool.map(
-                _search_shard, [(params, i, shards) for i in range(shards)]
-            ):
-                results.extend(shard_results)
-                counts = [a + b for a, b in zip(counts, shard_counts)]
-    candidates = _count_classes(params)
-    counts[0] = candidates - sum(counts)
+            outputs = list(pool.map(_search_shard, tasks))
+    results, checked = [], 0
+    for shard_results, shard_checked in outputs:
+        results.extend(shard_results)
+        checked += shard_checked
     results.sort(key=lambda r: tuple(_point_key(p) for p in r.data.points))
-    return SearchOutcome(
-        tuple(results),
-        SearchSummary(candidates, counts[-1], len(results), PruneCounts(*counts[:-1])),
-    )
+    summary = SearchSummary(_count_classes(params), checked, len(results))
+    return SearchOutcome(tuple(results), summary)

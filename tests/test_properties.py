@@ -16,6 +16,7 @@ from txyrigid.classify import (
     replay_proof,
 )
 from txyrigid.genera import FixedPoint, FixedPointData, rigidity_defect
+from txyrigid.search import SearchParams, _count_classes, enumerate_data
 
 SIGNS = st.sampled_from((1, -1))
 
@@ -100,3 +101,19 @@ def family_members(draw):
 def test_rigid_family_residues_sum_to_zero(data):
     # the evaluation invariant the search joins on holds on every rigid datum
     assert residue_sum(data) == 0
+
+
+@st.composite
+def small_search_params(draw):
+    """Search bounds small enough to walk: m, n, W <= 3 with n + W <= 5
+    at m = 3, all signs or a set of sign patterns, effective-only or not."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    bound = draw(st.integers(0, 3 if m < 3 else min(3, 5 - n)))
+    pattern = st.tuples(*[SIGNS] * m)
+    signs = draw(st.none() | st.lists(pattern, min_size=1, max_size=3).map(tuple))
+    return SearchParams(n, m, bound, signs, draw(st.booleans()))
+
+
+@given(small_search_params())
+def test_class_count_is_the_walk_length(params):
+    assert _count_classes(params) == len(list(enumerate_data(params)))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,7 +10,6 @@ from txyrigid.search import (
     MAX_SEARCH_WORK,
     MODULUS,
     ORDER_OF_3,
-    PruneCounts,
     SearchParams,
     _count_classes,
     _data_from_key,
@@ -111,7 +111,6 @@ def test_two_point_candidate_count_matches_enumeration(n, bound):
 def test_candidate_count_matches_enumeration_off_two_points(params):
     outcome = search_rigid(params)
     assert outcome.summary.candidates == len(list(enumerate_data(params)))
-    assert outcome.summary.pruned_by.pairing == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -159,6 +158,44 @@ def test_join_is_the_full_walk_filtered_by_residues(m, sizes):
                 assert list(_enumerate_shard(params, 0, 1, True)) == kept
                 shards = [list(_enumerate_shard(params, i, 3, True)) for i in range(3)]
                 assert sorted(key for shard in shards for key in shard) == sorted(kept)
+
+
+def mobius(limit):
+    """mu(1..limit) by a linear sieve, mu[0] unused."""
+    mu, primes = [1] * (limit + 1), []
+    composite = [False] * (limit + 1)
+    for i in range(2, limit + 1):
+        if not composite[i]:
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            if i * p > limit:
+                break
+            composite[i * p] = True
+            if i % p == 0:
+                mu[i * p] = 0
+                break
+            mu[i * p] = -mu[i]
+    return mu
+
+
+@pytest.mark.parametrize(
+    "bound, effective", [(5, 78), (2000, 9732702), (131072, 41776845790)]
+)
+def test_one_weight_pair_count_is_closed_form(bound, effective):
+    # two points of one weight: 2W points per sign, none self-negating, so
+    # Burnside gives W(4W + 2) classes; the effective ones are its Moebius
+    # sum over the common divisor
+    def classes(w):
+        return w * (4 * w + 2)
+
+    mu = mobius(bound)
+    assert sum(mu[d] * classes(bound // d) for d in range(1, bound + 1)) == effective
+    for require_effective, want in ((False, classes(bound)), (True, effective)):
+        start = time.perf_counter()
+        got = _count_classes(SearchParams(1, 2, bound, require_effective=require_effective))
+        assert time.perf_counter() - start < 1.0
+        assert got == want
 
 
 def test_enumerate_single_point_classes():
@@ -345,7 +382,6 @@ def test_search_counts_are_consistent():
     assert s.candidates == s.pruned + s.checked
     assert s.rigid == len(outcome.results)
     assert s.candidates == len(list(enumerate_data(params)))
-    assert sum(s.pruned_by) == s.pruned
 
 
 def test_prune_counts_per_rung():
@@ -353,9 +389,6 @@ def test_prune_counts_per_rung():
     params = SearchParams(n=4, m=2, max_abs_weight=5)
     s = search_rigid(params).summary
     assert (s.candidates, s.pruned, s.checked, s.rigid) == (512165, 511800, 365, 365)
-    assert s.pruned_by == PruneCounts(
-        evaluation=511800, pairing=0, limit_symmetry=0, principal_part=0
-    )
     # the public prune keeps 970 of the 8,545 keys that pass pairing
     paired = paired_keys(params)
     assert len(paired) == 8545
@@ -363,19 +396,13 @@ def test_prune_counts_per_rung():
 
 
 def test_prune_counts_match_the_public_rule():
-    # the rungs count the keys with residue sum 0 that the public rule
-    # rejects, first failing rung first
+    # the search checks every key with residue sum 0 exactly; the public
+    # rule rejects only non-rigid ones among them
     params = SearchParams(n=2, m=2, max_abs_weight=3)
     s = search_rigid(params).summary
     joined = [data for data in enumerate_data(params) if residue_sum(data) == 0]
-    kept = sum(prune(data) for data in joined)
-    assert (s.checked, s.pruned) == (kept, s.candidates - kept)
-    assert s.pruned_by.evaluation == s.candidates - len(joined)
-    unpaired = sum(
-        sorted(map(abs, d.points[0].weights)) != sorted(map(abs, d.points[1].weights))
-        for d in joined
-    )
-    assert s.pruned_by.pairing == unpaired
+    assert (s.checked, s.pruned) == (len(joined), s.candidates - len(joined))
+    assert not any(is_rigid(data).rigid for data in joined if not prune(data))
 
 
 def test_search_three_points_reports_unclassified():
