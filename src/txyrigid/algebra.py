@@ -1,16 +1,28 @@
 """Exact arithmetic kernel: sparse polynomials in x and y over the
-rationals, Laurent polynomials in z over the integer polynomials in x,
-and truncated Laurent series.
+rationals, the packed z-domain defect, and truncated Laurent series.
 
 Conventions shared by the whole package:
 
 * coefficients are ``fractions.Fraction`` values, always reduced, except
-  in ``LaurentZ``, whose coefficients are plain ``int`` values; no
-  floating point appears anywhere,
+  in ``PackedDefect`` and ``LaurentZ``, whose coefficients are plain
+  ``int`` values; no floating point appears anywhere,
 * sparse maps never store a zero coefficient, so structural equality
   is semantic equality,
 * every value is immutable once constructed and safe to share between
   threads or worker processes.
+
+``PackedDefect`` is a Laurent polynomial in z over Z[x] with each
+z-coefficient packed into one ``int``: its x-polynomial evaluated at
+x = 2^B (Kronecker substitution in x alone).  While every x-coefficient
+lies in [-2^(B-1), 2^(B-1)), the packed int has exactly one expansion in
+balanced base-2^B digits, so it is 0 exactly when the x-polynomial is,
+and the digits give the x-coefficients back.  ``genera.rigidity_defect``
+builds it by shifts and adds alone.
+
+``LaurentZ`` holds the same ring with one ``{x-exponent: int}`` map per
+z-coefficient and multiplies term by term.  The package no longer uses
+it: it is the reference kernel the tests compare the packed defect
+against, and the benchmark's kernel counters patch its products.
 """
 
 from __future__ import annotations
@@ -217,7 +229,7 @@ class PolyXY:
 
 class LaurentZ:
     """Laurent polynomial in the formal variable z whose coefficients are
-    integer polynomials in x.
+    integer polynomials in x; the tests' reference kernel for the defect.
 
     ``terms`` maps a z-exponent (negative allowed) to a nonzero coefficient,
     itself a dict from x-exponent to nonzero ``int``.  This is the ring the
@@ -306,6 +318,63 @@ class LaurentZ:
 
     def __repr__(self) -> str:
         return f"LaurentZ({self.terms!r})"
+
+
+def _balanced_digits(value: int, bits: int) -> dict[int, int]:
+    """The nonzero digits of value in balanced base 2^bits, each in
+    [-2^(bits-1), 2^(bits-1)), keyed by position."""
+    base = 1 << bits
+    half, mask = base >> 1, base - 1
+    digits: dict[int, int] = {}
+    position = 0
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= base
+        if digit:
+            digits[position] = digit
+        value = (value - digit) >> bits
+        position += 1
+    return digits
+
+
+class PackedDefect:
+    """Laurent polynomial in z over Z[x] with x packed: ``packed`` maps a
+    z-exponent to a nonzero int, the x-polynomial at x = 2^``bits``.
+
+    The caller chooses bits so that every x-coefficient c has
+    |c| < 2^(bits - 1); then zero tests and term counts read the ints
+    directly, and ``terms`` decodes the balanced digits on first use.
+    """
+
+    __slots__ = ("packed", "bits", "_terms")
+
+    def __init__(self, packed: Mapping[int, int], bits: int):
+        self.packed = {k: v for k, v in packed.items() if v}
+        self.bits = bits
+        self._terms: Optional[dict[int, dict[int, int]]] = None
+
+    def is_zero(self) -> bool:
+        return not self.packed
+
+    def term_count(self) -> int:
+        """Number of nonzero z-coefficients."""
+        return len(self.packed)
+
+    @property
+    def terms(self) -> dict[int, dict[int, int]]:
+        """{z-exponent: {x-exponent: int}}, the shape of ``LaurentZ.terms``."""
+        if self._terms is None:
+            self._terms = {k: _balanced_digits(v, self.bits) for k, v in self.packed.items()}
+        return self._terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PackedDefect):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"PackedDefect({self.terms!r})"
 
 
 _ZERO_POLY = PolyXY.zero()

@@ -189,6 +189,14 @@ def _residue(point: PointKey, ratios: dict[int, int]) -> int:
     return (value - sign * 2**plus * (-1) ** (len(weights) - plus)) % MODULUS
 
 
+def _negations(points: list[PointKey]) -> list[int]:
+    """The index of each point's negation in the sorted point list.  The
+    lookup table lives only here, so it is freed before the join builds
+    its residues and buckets."""
+    index = {point: i for i, point in enumerate(points)}
+    return [index[_negate_point(point)] for point in points]
+
+
 def _enumerate_shard(
     params: SearchParams, shard: int, shards: int, _join: bool = False
 ) -> Iterator[DataKey]:
@@ -199,8 +207,7 @@ def _enumerate_shard(
     instead of the rest of the point list."""
     points = _points(params)
     total = len(points)
-    index = {point: i for i, point in enumerate(points)}
-    negated = [index[_negate_point(point)] for point in points]
+    negated = _negations(points)
     signs = _sign_multisets(params)
     m = params.m
     if _join:

@@ -1,8 +1,13 @@
 import random
+from collections import Counter
+from functools import reduce
 from itertools import product
 from math import gcd
+from operator import or_
 
 from txyrigid import FixedPoint, FixedPointData
+from txyrigid.algebra import LaurentZ
+from txyrigid.genera import ah_constant, rigidity_defect
 from txyrigid.search import MODULUS, _enumerate_shard, _ratios, _residue
 
 try:
@@ -71,3 +76,36 @@ def residue_sum(data: FixedPointData) -> int:
     0 for every rigid datum."""
     ratios = _ratios(max(abs(w) for p in data.points for w in p.weights))
     return sum(_residue((p.sign, p.weights), ratios) for p in data.points) % MODULUS
+
+
+def reference_defect(data: FixedPointData) -> LaurentZ:
+    """The defect by LaurentZ products: each point's binomial chain over
+    the least common multiset of its (z^a - 1) factors, minus the
+    Atiyah-Hirzebruch constant times the shared chain, at y = 1."""
+    own = [Counter(abs(w) for w in p.weights) for p in data.points]
+    shared = reduce(or_, own)
+    total = LaurentZ()
+    for point, mine in zip(data.points, own):
+        term = LaurentZ({0: point.sign})
+        for w in point.weights:
+            if w > 0:
+                term = term * LaurentZ({w: {1: 1}, 0: 1})  # x z^w + 1
+            else:
+                term = term * LaurentZ({0: {1: -1}, -w: -1})  # -(x + z^a)
+        for a in (shared - mine).elements():
+            term = term * LaurentZ({a: 1, 0: -1})
+        total = total + term
+    ah = Counter()
+    for (i, _), c in ah_constant(data).terms.items():
+        ah[i] += int(c)
+    expected = LaurentZ({0: ah})
+    for a in shared.elements():
+        expected = expected * LaurentZ({a: 1, 0: -1})
+    return total - expected
+
+
+def assert_matches_reference(data: FixedPointData) -> None:
+    packed, reference = rigidity_defect(data), reference_defect(data)
+    assert packed.terms == reference.terms
+    assert packed.is_zero() == reference.is_zero()
+    assert packed.term_count() == reference.term_count()

@@ -47,7 +47,7 @@ def cleared_value(data: FixedPointData, z0: Fraction, x0: Fraction) -> Fraction:
     return (fraction_value(data, z0, x0, Fraction(1)) - ah) * den
 
 
-def evaluate(defect: LaurentZ, z0, x0) -> Fraction:
+def evaluate(defect, z0, x0) -> Fraction:
     z0, x0 = Fraction(z0), Fraction(x0)
     return sum(
         (z0**k * sum(c * x0**i for i, c in coeff.items()) for k, coeff in defect.terms.items()),
@@ -61,13 +61,13 @@ def evaluate(defect: LaurentZ, z0, x0) -> Fraction:
 def test_point_term_single_positive_weight():
     # (x z^4 + 1) - x (z^4 - 1) = 1 + x
     defect = rigidity_defect(FixedPointData(1, (FixedPoint((4,), 1),)))
-    assert defect == LaurentZ({0: {0: 1, 1: 1}})
+    assert defect.terms == LaurentZ({0: {0: 1, 1: 1}}).terms
 
 
 def test_point_term_single_negative_weight():
     # -(x + z^4) - (-1)(z^4 - 1) = -1 - x
     defect = rigidity_defect(FixedPointData(1, (FixedPoint((-4,), 1),)))
-    assert defect == LaurentZ({0: {0: -1, 1: -1}})
+    assert defect.terms == LaurentZ({0: {0: -1, 1: -1}}).terms
 
 
 def test_point_term_mixed_weights_negative_sign():
@@ -76,7 +76,7 @@ def test_point_term_mixed_weights_negative_sign():
     data = FixedPointData(2, (FixedPoint((1, -1), -1),))
     numerator = LaurentZ({1: {1: 1}, 0: 1}) * LaurentZ({0: {1: 1}, 1: 1})
     denominator = LaurentZ({1: 1, 0: -1}) * LaurentZ({1: 1, 0: -1})
-    assert rigidity_defect(data) == numerator - LaurentZ({0: {1: 1}}) * denominator
+    assert rigidity_defect(data).terms == (numerator - LaurentZ({0: {1: 1}}) * denominator).terms
     # numeric oracle at z=2, x=3
     assert evaluate(rigidity_defect(data), 2, 3) == cleared_value(data, Fraction(2), Fraction(3))
 
@@ -131,7 +131,7 @@ def test_defect_keeps_unpaired_denominators():
         + LaurentZ({2: {1: 1}, 0: 1}) * LaurentZ({1: 1, 0: -1})
         - LaurentZ({0: {1: 2}}) * LaurentZ({1: 1, 0: -1}) * LaurentZ({2: 1, 0: -1})
     )
-    assert defect == expected
+    assert defect.terms == expected.terms
     assert defect.term_count() == 3
 
 
@@ -224,7 +224,7 @@ def test_limit_symmetry_equivalent_formulation():
 # -- the y = 0 specialization: the x^n part of the y = 1 defect ----------------
 
 
-def y_zero_part(defect: LaurentZ, n: int) -> dict:
+def y_zero_part(defect, n: int) -> dict:
     return {k: c[n] for k, c in defect.terms.items() if n in c}
 
 

@@ -6,7 +6,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, strategies as st
 
-from conftest import residue_sum
+from conftest import assert_matches_reference, residue_sum
 from txyrigid.classify import (
     _is_family_z,
     classify_two_points,
@@ -117,3 +117,19 @@ def small_search_params(draw):
 @given(small_search_params())
 def test_class_count_is_the_walk_length(params):
     assert _count_classes(params) == len(list(enumerate_data(params)))
+
+
+@st.composite
+def small_data(draw):
+    """Any data with m <= 4 points, n <= 5 weights of mixed signs and
+    magnitudes up to 6."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    return FixedPointData(
+        n, tuple(FixedPoint(tuple(draw(_weights(n, 6))), draw(SIGNS)) for _ in range(m))
+    )
+
+
+@given(small_data())
+def test_packed_defect_matches_reference(data):
+    # terms, zero test and term count against the LaurentZ product chain
+    assert_matches_reference(data)
