@@ -11,13 +11,14 @@ Conventions shared by the whole package:
 * every value is immutable once constructed and safe to share between
   threads or worker processes.
 
-``PackedDefect`` is a Laurent polynomial in z over Z[x] with each
-z-coefficient packed into one ``int``: its x-polynomial evaluated at
-x = 2^B (Kronecker substitution in x alone).  While every x-coefficient
-lies in [-2^(B-1), 2^(B-1)), the packed int has exactly one expansion in
-balanced base-2^B digits, so it is 0 exactly when the x-polynomial is,
-and the digits give the x-coefficients back.  ``genera.rigidity_defect``
-builds it by shifts and adds alone.
+``PackedDefect`` is a Laurent polynomial in z over Z[x] packed into
+ints by Kronecker substitution: x at 2^B and, in the dense layout, z at
+2^((d + 1) B) for x-degrees at most d, so the whole polynomial is one
+``int``; in the sparse layout, one ``int`` per z-coefficient.  While
+every x-coefficient lies in [-2^(B-1), 2^(B-1)), a packed int has
+exactly one expansion in balanced base-2^B digits, so it is 0 exactly
+when the polynomial is, and the digits give the coefficients back.
+``genera.rigidity_defect`` builds it by shifts and adds alone.
 
 ``LaurentZ`` holds the same ring with one ``{x-exponent: int}`` map per
 z-coefficient and multiplies term by term.  The package no longer uses
@@ -338,24 +339,71 @@ def _balanced_digits(value: int, bits: int) -> dict[int, int]:
     return digits
 
 
+def _split_slots(value: int, bits: int, digits: int) -> dict[int, int]:
+    """{k: slot k} for the nonzero slots of value, slot k being its
+    balanced base-2^bits digits k * digits .. k * digits + digits - 1
+    read as one int; bits is a multiple of 8.
+
+    Adding 2^(bits-1) to every digit makes each one an unsigned digit in
+    [0, 2^bits), so the slots are plain byte ranges of the sum."""
+    if not value:
+        return {}
+    size = bits // 8
+    width = size * digits
+    # the top balanced digit sits at or below position bit_length // bits
+    count = value.bit_length() // (bits * digits) + 1
+    half = (bytes(size - 1) + b"\x80") * digits
+    raw = (value + int.from_bytes(half * count, "little")).to_bytes(width * count, "little")
+    base = int.from_bytes(half, "little")
+    slots = {}
+    for start in range(0, width * count, width):
+        chunk = raw[start:start + width]
+        if chunk != half:
+            slots[start // width] = int.from_bytes(chunk, "little") - base
+    return slots
+
+
 class PackedDefect:
-    """Laurent polynomial in z over Z[x] with x packed: ``packed`` maps a
-    z-exponent to a nonzero int, the x-polynomial at x = 2^``bits``.
+    """Laurent polynomial in z over Z[x] with x packed at 2^``bits``, in
+    one of two layouts.
+
+    Dense (``degree`` given): one int, with z packed too at 2^S for
+    S = (degree + 1) * bits.  The x^i coefficient of z^k is the balanced
+    digit number k * (degree + 1) + i, which needs every x-degree at most
+    ``degree`` and every z-exponent nonnegative; bits is a multiple of 8,
+    so the z-coefficients are byte ranges.
+
+    Sparse (``degree`` None): ``packed`` maps a z-exponent to a nonzero
+    int, that z-coefficient's x-polynomial at x = 2^bits.
 
     The caller chooses bits so that every x-coefficient c has
-    |c| < 2^(bits - 1); then zero tests and term counts read the ints
-    directly, and ``terms`` decodes the balanced digits on first use.
+    |c| < 2^(bits - 1).  Zero tests read the ints directly; the dense int
+    is split into z-coefficients for ``term_count`` and ``terms``, and
+    ``terms`` decodes the balanced digits, both on first use.
     """
 
-    __slots__ = ("packed", "bits", "_terms")
+    __slots__ = ("bits", "degree", "_value", "_packed", "_terms")
 
-    def __init__(self, packed: Mapping[int, int], bits: int):
-        self.packed = {k: v for k, v in packed.items() if v}
+    def __init__(
+        self, packed: Union[int, Mapping[int, int]], bits: int, degree: Optional[int] = None
+    ):
         self.bits = bits
+        self.degree = degree
+        if degree is None:
+            self._value, self._packed = None, {k: v for k, v in packed.items() if v}
+        else:
+            self._value, self._packed = packed, None
         self._terms: Optional[dict[int, dict[int, int]]] = None
 
+    @property
+    def packed(self) -> dict[int, int]:
+        """{z-exponent: nonzero int}, the x-polynomial at x = 2^bits."""
+        if self._packed is None:
+            self._packed = _split_slots(self._value, self.bits, self.degree + 1)
+        return self._packed
+
     def is_zero(self) -> bool:
-        return not self.packed
+        return not self._packed if self._value is None else self._value == 0
 
     def term_count(self) -> int:
         """Number of nonzero z-coefficients."""

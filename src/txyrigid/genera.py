@@ -18,21 +18,22 @@ homogeneous of degree n in x and y, so the identity is decided at y = 1
 over Z[x][z, 1/z]: a homogeneous p(x, y) of degree n is y^n p(x/y, 1), and
 its y = 0 value is its x^n coefficient.
 
-The defect is computed packed (see ``algebra.PackedDefect``): each
-running product is a dict {z-exponent: int}, where the int is that
-z-coefficient's x-polynomial at x = 2^B.  Every factor is a binomial with
-coefficients +-1, so each multiplication is a shift and two adds per
-z-coefficient, with no polynomial product.  ``algebra.LaurentZ``, which
+The defect is computed packed (see ``algebra.PackedDefect``): one int
+that holds the whole Laurent polynomial, with x at 2^B and z at 2^S,
+S = (n + 1) B (bivariate Kronecker substitution).  Every factor is a
+binomial with coefficients +-1, so each multiplication is one shift and
+one add on that int, with no polynomial product.  The int's size grows
+with the weights, so where it would pass ``MAX_DENSE_BITS`` (large
+weights with few factors) each running product is instead a dict
+{z-exponent: int} with only x packed.  ``algebra.LaurentZ``, which
 multiplies term by term, is kept as the tests' reference kernel.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from fractions import Fraction
 from math import gcd
-from operator import or_
 from typing import Optional
 
 from .algebra import PackedDefect, PolyXY
@@ -43,6 +44,16 @@ from .algebra import PackedDefect, PolyXY
 # n = 16 the packed defect takes about 0.2 s and decoding its 65,534
 # terms another 0.4 s (Python 3.11, 2 vCPU).
 MAX_DEFECT_WORK = 1 << 26
+
+# rigidity_defect packs the whole defect into one int when that int has
+# at most this many bits, and one int per z-exponent otherwise.  Measured
+# crossover of the zero test (Python 3.11, 2 vCPU): on the densest data
+# the work guard admits, two negated points with n power-of-two weights,
+# the dict loop is 10-13x slower than the one int up to 2^19 bits and
+# 4-9x slower above; on the sparsest, L1, S3 and the points (a) and
+# (a - 1), the one int is 1.2-1.4x slower at 2^15 bits, 4-6x at 2^18
+# and 9-10x at 2^19.  The cap sits where the two losses meet.
+MAX_DENSE_BITS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -114,52 +125,62 @@ class GenusReport:
     weight_gcd: int
 
 
-def _signed_monomial(sign: int, weights, swapped: bool = False) -> tuple[int, int, int]:
-    """(x-exponent, y-exponent, integer coefficient) of the point term
-    sign * x^{s+} * (-y)^{s-}, with s+ and s- exchanged when swapped."""
-    plus = sum(1 for w in weights if w > 0)
-    minus = len(weights) - plus
-    if swapped:
-        plus, minus = minus, plus
-    return plus, minus, sign if minus % 2 == 0 else -sign
+def _ah_coefficients(data: FixedPointData) -> list[int]:
+    """The Atiyah-Hirzebruch value sum of sign * x^{s+} * (-y)^{s-} as its
+    integer coefficients of x^i y^(n-i), i = 0..n: a point with s+ = i adds
+    its sign times (-1)^(n-i)."""
+    n = data.n
+    coeffs = [0] * (n + 1)
+    for p in data.points:
+        plus = sum(1 for w in p.weights if w > 0)
+        coeffs[plus] += p.sign if (n - plus) % 2 == 0 else -p.sign
+    return coeffs
 
 
-def _signed_monomials(data: FixedPointData) -> list[tuple[int, int, int]]:
-    return [_signed_monomial(p.sign, p.weights) for p in data.points]
+def _ah_poly(n: int, coeffs: list[int]) -> PolyXY:
+    return PolyXY._raw({(i, n - i): Fraction(c) for i, c in enumerate(coeffs) if c})
+
+
+def _limits_cancel(n: int, coeffs: list[int]) -> bool:
+    # swapping s+ and s- sends sign * x^i (-y)^(n-i) to
+    # sign * x^(n-i) (-y)^i, so the swapped sum has coefficient
+    # (-1)^n * coeffs[n - i] at x^i y^(n-i)
+    flip = -1 if n % 2 else 1
+    return all(c == flip * coeffs[n - i] for i, c in enumerate(coeffs))
 
 
 def ah_constant(data: FixedPointData) -> PolyXY:
     """The Atiyah-Hirzebruch value: sum of sign * x^{s+} * (-y)^{s-} over
     the fixed points."""
-    return PolyXY(((i, j), c) for i, j, c in _signed_monomials(data))
+    return _ah_poly(data.n, _ah_coefficients(data))
 
 
 def limit_symmetry(data: FixedPointData) -> bool:
     """Necessary condition for rigidity from the z -> infinity and z -> 0
     limits of the fixed-point sum: the signed monomial sum must be
     invariant under swapping each point's positive and negative counts."""
-    total: Counter = Counter()
-    for p in data.points:
-        i, j, c = _signed_monomial(p.sign, p.weights)
-        k, h, d = _signed_monomial(p.sign, p.weights, swapped=True)
-        total[i, j] += c
-        total[k, h] -= d
-    return not any(total.values())
+    return _limits_cancel(data.n, _ah_coefficients(data))
 
 
 def weight_gcd(data: FixedPointData) -> int:
     """gcd of all weight magnitudes; 1 means the data is effective."""
-    return reduce(gcd, (abs(w) for p in data.points for w in p.weights))
+    return gcd(*(w for p in data.points for w in p.weights))
 
 
-def _chain_cost(exponents: list[int], width: int) -> int:
-    """Upper bound on the coefficient products of multiplying binomials
-    c + d z^e into a running product, one at a time, over the given
-    exponents e > 0 and with at most ``width`` x-terms per coefficient.
-    Every running product has z-exponents among the subset sums of the
-    exponents, of which there are at most 2^count and at most total + 1."""
-    terms = min(1 << len(exponents), sum(exponents) + 1)
-    return len(exponents) * terms * width
+def _shared_factors(magnitudes: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The least common multiset of the points' sorted weight magnitudes,
+    and what each point lacks of it; paired data lack nothing."""
+    first = magnitudes[0]
+    if all(mine == first for mine in magnitudes):
+        return first, [[]] * len(magnitudes)
+    most: dict[int, int] = {}
+    for mine in magnitudes:
+        for a in mine:
+            most[a] = max(most.get(a, 0), mine.count(a))
+    shared = [a for a, k in most.items() for _ in range(k)]
+    return shared, [
+        [a for a, k in most.items() for _ in range(k - mine.count(a))] for mine in magnitudes
+    ]
 
 
 def _times_x_z_plus_one(poly: dict, w: int, bits: int) -> dict:
@@ -186,6 +207,53 @@ def _times_z_minus_one(poly: dict, a: int) -> dict:
     return out
 
 
+def _dense_defect(
+    data: FixedPointData, extra: list[list[int]], shared: list[int], coeffs: list[int],
+    bits: int, slot: int,
+) -> int:
+    """The defect as one int: x at 2^bits, z at 2^slot."""
+    total = 0
+    for point, more in zip(data.points, extra):
+        t = point.sign
+        for w in point.weights:
+            if w > 0:
+                t += t << (bits + slot * w)
+            else:
+                t = -((t << bits) + (t << slot * -w))
+        for a in more:
+            t = (t << slot * a) - t
+        total += t
+    expected = sum(c << bits * i for i, c in enumerate(coeffs))
+    for a in shared:
+        expected = (expected << slot * a) - expected
+    return total - expected
+
+
+def _sparse_defect(
+    data: FixedPointData, extra: list[list[int]], shared: list[int], coeffs: list[int],
+    bits: int,
+) -> dict[int, int]:
+    """The defect as {z-exponent: int}, x at 2^bits."""
+    total: dict[int, int] = {}
+    for point, more in zip(data.points, extra):
+        term = {0: point.sign}
+        for w in point.weights:
+            if w > 0:
+                term = _times_x_z_plus_one(term, w, bits)
+            else:
+                term = _times_minus_x_plus_z(term, -w, bits)
+        for a in more:
+            term = _times_z_minus_one(term, a)
+        for k, c in term.items():
+            total[k] = total.get(k, 0) + c
+    expected = {0: sum(c << bits * i for i, c in enumerate(coeffs))}
+    for a in shared:
+        expected = _times_z_minus_one(expected, a)
+    for k, c in expected.items():
+        total[k] = total.get(k, 0) - c
+    return total
+
+
 def rigidity_defect(data: FixedPointData) -> PackedDefect:
     """Numerator minus constant times expanded denominator, at y = 1; the
     data is rigid exactly when this Laurent polynomial is zero.
@@ -203,52 +271,52 @@ def rigidity_defect(data: FixedPointData) -> PackedDefect:
     its L1 norm 2^F.  The defect sums m of the first and m of the second,
     so its coefficients are at most 2m * 2^F < 2^(B - 1) for
     B = F + bit_length(m + 1) + 2, and packing x at 2^B is injective.
+
+    Every z-coefficient has x-degree at most n and every z-exponent lies
+    in 0 .. D, D the sum of the shared multiset.  So with B rounded up to
+    whole bytes and S = (n + 1) B, the whole defect is one int with x at
+    2^B and z at 2^S: the x^i coefficient of z^k is balanced digit
+    k (n + 1) + i, no digit spills into the next, and the int is 0
+    exactly when the defect is.  Each binomial step is then one shift and
+    one add on that int.  Its size, (D + 1) S bits, grows with the
+    weights themselves, so past MAX_DENSE_BITS (large weights with few
+    factors, such as L1 and S3 at 10^9 + 7) the defect is kept as one
+    int per z-exponent instead, whose count grows only with the distinct
+    weight sums.
     """
-    own = [Counter(abs(w) for w in p.weights) for p in data.points]
-    shared = reduce(or_, own)
-    extra = [list((shared - mine).elements()) for mine in own]
-    width = data.n + 1
-    estimate = _chain_cost(list(shared.elements()), width) + sum(
-        _chain_cost([abs(w) for w in p.weights] + more, width)
-        for p, more in zip(data.points, extra)
-    )
+    n = data.n
+    shared, extra = _shared_factors([sorted(map(abs, p.weights)) for p in data.points])
+    degree = sum(shared)
+    # every point's own factors plus its extras are the shared multiset,
+    # so each of the m + 1 chains multiplies F binomials whose exponents
+    # sum to D; its running products have z-exponents among their subset
+    # sums, at most 2^F and at most D + 1 of them, of n + 1 x-terms each
+    estimate = (data.m + 1) * len(shared) * min(1 << len(shared), degree + 1) * (n + 1)
     if estimate > MAX_DEFECT_WORK:
         raise ValueError(
             f"defect work estimate {estimate} coefficient products exceeds"
             f" the bound {MAX_DEFECT_WORK}"
         )
-    # n weights plus the extras make every point's product as long as
-    # the shared one
-    bits = sum(shared.values()) + (data.m + 1).bit_length() + 2
-    total: dict[int, int] = {}
-    for point, more in zip(data.points, extra):
-        term = {0: point.sign}
-        for w in point.weights:
-            if w > 0:
-                term = _times_x_z_plus_one(term, w, bits)
-            else:
-                term = _times_minus_x_plus_z(term, -w, bits)
-        for a in more:
-            term = _times_z_minus_one(term, a)
-        for k, c in term.items():
-            total[k] = total.get(k, 0) + c
-    expected = {0: sum(c << (bits * i) for i, _, c in _signed_monomials(data))}
-    for a in shared.elements():
-        expected = _times_z_minus_one(expected, a)
-    for k, c in expected.items():
-        total[k] = total.get(k, 0) - c
-    return PackedDefect(total, bits)
+    coeffs = _ah_coefficients(data)
+    bits = len(shared) + (data.m + 1).bit_length() + 2
+    dense_bits = -(-bits // 8) * 8
+    slot = (n + 1) * dense_bits
+    if (degree + 1) * slot <= MAX_DENSE_BITS:
+        value = _dense_defect(data, extra, shared, coeffs, dense_bits, slot)
+        return PackedDefect(value, dense_bits, n)
+    return PackedDefect(_sparse_defect(data, extra, shared, coeffs, bits), bits)
 
 
 def is_rigid(data: FixedPointData) -> GenusReport:
     defect = rigidity_defect(data)
     rigid = defect.is_zero()
-    constant = ah_constant(data)
+    coeffs = _ah_coefficients(data)
+    constant = _ah_poly(data.n, coeffs)
     return GenusReport(
         rigid=rigid,
         constant=constant if rigid else None,
         defect=defect,
         ah_constant=constant,
-        limits_symmetric=limit_symmetry(data),
+        limits_symmetric=_limits_cancel(data.n, coeffs),
         weight_gcd=weight_gcd(data),
     )

@@ -129,7 +129,17 @@ def small_data(draw):
     )
 
 
-@given(small_data())
+@st.composite
+def large_weight_data(draw):
+    """Data with m <= 4 points of n <= 2 weights with magnitudes up to
+    10^6: mostly past the one-int cap, so the per-z-exponent dict loop."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    return FixedPointData(
+        n, tuple(FixedPoint(tuple(draw(_weights(n, 10**6))), draw(SIGNS)) for _ in range(m))
+    )
+
+
+@given(small_data() | large_weight_data())
 def test_packed_defect_matches_reference(data):
     # terms, zero test and term count against the LaurentZ product chain
     assert_matches_reference(data)
