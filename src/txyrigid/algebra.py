@@ -1,29 +1,21 @@
 """Exact arithmetic kernel: sparse polynomials in x and y over the
-rationals, the packed z-domain defect, and truncated Laurent series.
+rationals, Laurent polynomials in z over Z[x], and truncated Laurent
+series.
 
 Conventions shared by the whole package:
 
 * coefficients are ``fractions.Fraction`` values, always reduced, except
-  in ``PackedDefect`` and ``LaurentZ``, whose coefficients are plain
-  ``int`` values; no floating point appears anywhere,
+  in ``LaurentZ``, whose coefficients are plain ``int`` values; no
+  floating point appears anywhere,
 * sparse maps never store a zero coefficient, so structural equality
   is semantic equality,
 * every value is immutable once constructed and safe to share between
   threads or worker processes.
 
-``PackedDefect`` is a Laurent polynomial in z over Z[x] packed into
-ints by Kronecker substitution: x at 2^B and, in the dense layout, z at
-2^((d + 1) B) for x-degrees at most d, so the whole polynomial is one
-``int``; in the sparse layout, one ``int`` per z-coefficient.  While
-every x-coefficient lies in [-2^(B-1), 2^(B-1)), a packed int has
-exactly one expansion in balanced base-2^B digits, so it is 0 exactly
-when the polynomial is, and the digits give the coefficients back.
-``genera.rigidity_defect`` builds it by shifts and adds alone.
-
-``LaurentZ`` holds the same ring with one ``{x-exponent: int}`` map per
-z-coefficient and multiplies term by term.  The package no longer uses
-it: it is the reference kernel the tests compare the packed defect
-against, and the benchmark's kernel counters patch its products.
+``LaurentZ`` holds one ``{x-exponent: int}`` map per z-coefficient and
+multiplies term by term.  The package no longer uses it: it is the
+reference kernel the tests compare ``genera.PackedDefect`` against, and
+the benchmark's kernel counters patch its products.
 """
 
 from __future__ import annotations
@@ -319,110 +311,6 @@ class LaurentZ:
 
     def __repr__(self) -> str:
         return f"LaurentZ({self.terms!r})"
-
-
-def _balanced_digits(value: int, bits: int) -> dict[int, int]:
-    """The nonzero digits of value in balanced base 2^bits, each in
-    [-2^(bits-1), 2^(bits-1)), keyed by position."""
-    base = 1 << bits
-    half, mask = base >> 1, base - 1
-    digits: dict[int, int] = {}
-    position = 0
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= base
-        if digit:
-            digits[position] = digit
-        value = (value - digit) >> bits
-        position += 1
-    return digits
-
-
-def _split_slots(value: int, bits: int, digits: int) -> dict[int, int]:
-    """{k: slot k} for the nonzero slots of value, slot k being its
-    balanced base-2^bits digits k * digits .. k * digits + digits - 1
-    read as one int; bits is a multiple of 8.
-
-    Adding 2^(bits-1) to every digit makes each one an unsigned digit in
-    [0, 2^bits), so the slots are plain byte ranges of the sum."""
-    if not value:
-        return {}
-    size = bits // 8
-    width = size * digits
-    # the top balanced digit sits at or below position bit_length // bits
-    count = value.bit_length() // (bits * digits) + 1
-    half = (bytes(size - 1) + b"\x80") * digits
-    raw = (value + int.from_bytes(half * count, "little")).to_bytes(width * count, "little")
-    base = int.from_bytes(half, "little")
-    slots = {}
-    for start in range(0, width * count, width):
-        chunk = raw[start:start + width]
-        if chunk != half:
-            slots[start // width] = int.from_bytes(chunk, "little") - base
-    return slots
-
-
-class PackedDefect:
-    """Laurent polynomial in z over Z[x] with x packed at 2^``bits``, in
-    one of two layouts.
-
-    Dense (``degree`` given): one int, with z packed too at 2^S for
-    S = (degree + 1) * bits.  The x^i coefficient of z^k is the balanced
-    digit number k * (degree + 1) + i, which needs every x-degree at most
-    ``degree`` and every z-exponent nonnegative; bits is a multiple of 8,
-    so the z-coefficients are byte ranges.
-
-    Sparse (``degree`` None): ``packed`` maps a z-exponent to a nonzero
-    int, that z-coefficient's x-polynomial at x = 2^bits.
-
-    The caller chooses bits so that every x-coefficient c has
-    |c| < 2^(bits - 1).  Zero tests read the ints directly; the dense int
-    is split into z-coefficients for ``term_count`` and ``terms``, and
-    ``terms`` decodes the balanced digits, both on first use.
-    """
-
-    __slots__ = ("bits", "degree", "_value", "_packed", "_terms")
-
-    def __init__(
-        self, packed: Union[int, Mapping[int, int]], bits: int, degree: Optional[int] = None
-    ):
-        self.bits = bits
-        self.degree = degree
-        if degree is None:
-            self._value, self._packed = None, {k: v for k, v in packed.items() if v}
-        else:
-            self._value, self._packed = packed, None
-        self._terms: Optional[dict[int, dict[int, int]]] = None
-
-    @property
-    def packed(self) -> dict[int, int]:
-        """{z-exponent: nonzero int}, the x-polynomial at x = 2^bits."""
-        if self._packed is None:
-            self._packed = _split_slots(self._value, self.bits, self.degree + 1)
-        return self._packed
-
-    def is_zero(self) -> bool:
-        return not self._packed if self._value is None else self._value == 0
-
-    def term_count(self) -> int:
-        """Number of nonzero z-coefficients."""
-        return len(self.packed)
-
-    @property
-    def terms(self) -> dict[int, dict[int, int]]:
-        """{z-exponent: {x-exponent: int}}, the shape of ``LaurentZ.terms``."""
-        if self._terms is None:
-            self._terms = {k: _balanced_digits(v, self.bits) for k, v in self.packed.items()}
-        return self._terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PackedDefect):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"PackedDefect({self.terms!r})"
 
 
 _ZERO_POLY = PolyXY.zero()

@@ -111,6 +111,8 @@ def load_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise InputError(f"input:{err.lineno}:{err.colno}: {err.msg}") from None
+    except RecursionError:
+        raise InputError("input: the document nests too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("input: the document must be a JSON object")
     return doc
@@ -230,11 +232,13 @@ def proof_json(trace: ProofTrace) -> dict:
     }
 
 
-def emit(report: dict, fmt: str, table_lines) -> None:
+def emit(report: dict, fmt: str, table) -> None:
+    """Print the report as one JSON line, or the lines table() yields;
+    only the table format builds them."""
     if fmt == "json":
         print(json.dumps(report, sort_keys=True))
     else:
-        for line in table_lines:
+        for line in table():
             print(line)
 
 
@@ -268,14 +272,15 @@ def run_verify(args) -> int:
         "limits_symmetric": report.limits_symmetric,
         "weight_gcd": report.weight_gcd,
     }
-    table = [
-        f"rigid            {report.rigid}",
-        f"constant         {report.constant if report.rigid else '-'}",
-        f"ah constant      {report.ah_constant}",
-        f"defect terms     {report.defect.term_count()}",
-        f"limits symmetric {report.limits_symmetric}",
-        f"weight gcd       {report.weight_gcd}",
-    ]
+
+    def table():
+        yield f"rigid            {report.rigid}"
+        yield f"constant         {out['constant_pretty'] if report.rigid else '-'}"
+        yield f"ah constant      {out['ah_constant_pretty']}"
+        yield f"defect terms     {out['defect_terms']}"
+        yield f"limits symmetric {report.limits_symmetric}"
+        yield f"weight gcd       {report.weight_gcd}"
+
     emit(out, args.format, table)
     return 0 if report.rigid else 1
 
@@ -296,15 +301,16 @@ def run_classify(args) -> int:
         "rigid": rigid,
         "proof": proof_json(trace) if trace is not None else None,
     }
-    table = [f"family {family.kind}{list(family.params) if family.params else ''}"]
-    if trace is not None:
-        table.append(
-            f"trace  k={trace.k} l={trace.l} a={list(trace.a_values)} b={list(trace.b_values)}"
-        )
-        table.append(
-            f"       balance={trace.balance_holds} max_rule={trace.max_rule_holds}"
-            f" final={trace.final_form}"
-        )
+
+    def table():
+        yield f"family {family.kind}{list(family.params) if family.params else ''}"
+        if trace is not None:
+            yield f"trace  k={trace.k} l={trace.l} a={list(trace.a_values)} b={list(trace.b_values)}"
+            yield (
+                f"       balance={trace.balance_holds} max_rule={trace.max_rule_holds}"
+                f" final={trace.final_form}"
+            )
+
     emit(out, args.format, table)
     return 0 if rigid else 1
 
@@ -340,12 +346,15 @@ def run_series(args) -> int:
         "verdict": "constant" if constant is not None else "not-constant",
         "cross_check": cross,
     }
-    table = [f"genus {genus.name}   order {order}"]
-    for row in rows:
-        table.append(f"u^{row['exp']:<4} {row['pretty']}")
-    table.append(f"verdict {out['verdict']}")
-    if cross is not None:
-        table.append(f"cross-check {cross}")
+
+    def table():
+        yield f"genus {genus.name}   order {order}"
+        for row in rows:
+            yield f"u^{row['exp']:<4} {row['pretty']}"
+        yield f"verdict {out['verdict']}"
+        if cross is not None:
+            yield f"cross-check {cross}"
+
     emit(out, args.format, table)
     return 0 if constant is not None else 1
 

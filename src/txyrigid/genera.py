@@ -18,14 +18,9 @@ homogeneous of degree n in x and y, so the identity is decided at y = 1
 over Z[x][z, 1/z]: a homogeneous p(x, y) of degree n is y^n p(x/y, 1), and
 its y = 0 value is its x^n coefficient.
 
-The defect is computed packed (see ``algebra.PackedDefect``): one int
-that holds the whole Laurent polynomial, with x at 2^B and z at 2^S,
-S = (n + 1) B (bivariate Kronecker substitution).  Every factor is a
-binomial with coefficients +-1, so each multiplication is one shift and
-one add on that int, with no polynomial product.  The int's size grows
-with the weights, so where it would pass ``MAX_DENSE_BITS`` (large
-weights with few factors) each running product is instead a dict
-{z-exponent: int} with only x packed.  ``algebra.LaurentZ``, which
+``rigidity_defect`` returns the defect packed into ints by Kronecker
+substitution, as a ``PackedDefect``; its docstring gives the layout and
+the width that makes the packing exact.  ``algebra.LaurentZ``, which
 multiplies term by term, is kept as the tests' reference kernel.
 """
 
@@ -34,15 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from operator import index
+from typing import Mapping, Optional, Union
 
-from .algebra import PackedDefect, PolyXY
+from .algebra import PolyXY
 
 # Work guard: rigidity_defect refuses data when its upper bound on the
 # coefficient products of the expansion exceeds this.  Two negated points
 # with n distinct power-of-two weights first exceed it at n = 17; at
-# n = 16 the packed defect takes about 0.2 s and decoding its 65,534
-# terms another 0.4 s (Python 3.11, 2 vCPU).
+# n = 16 the packed defect takes about 0.16 s and decoding its 65,534
+# terms another 0.55 s (Python 3.11, 2 vCPU).
 MAX_DEFECT_WORK = 1 << 26
 
 # rigidity_defect packs the whole defect into one int when that int has
@@ -64,7 +60,12 @@ class FixedPoint:
     sign: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        try:
+            weights, sign = tuple(map(index, self.weights)), index(self.sign)
+        except TypeError:
+            raise ValueError("weights and sign must be integers") from None
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "sign", sign)
         if not self.weights:
             raise ValueError("a fixed point needs at least one weight")
         if any(w == 0 for w in self.weights):
@@ -90,6 +91,11 @@ class FixedPointData:
     points: tuple[FixedPoint, ...]
 
     def __post_init__(self):
+        try:
+            n = index(self.n)
+        except TypeError:
+            raise ValueError("n must be an integer") from None
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", tuple(self.points))
         if self.n < 1:
             raise ValueError("n must be a positive integer")
@@ -183,6 +189,83 @@ def _shared_factors(magnitudes: list[list[int]]) -> tuple[list[int], list[list[i
     ]
 
 
+def _split_slots(value: int, bits: int, digits: int) -> dict[int, int]:
+    """{k: slot k} for the nonzero slots of value, slot k being its
+    balanced base-2^bits digits k * digits .. k * digits + digits - 1
+    read as one int; bits is a multiple of 8.
+
+    Adding 2^(bits-1) to every digit makes each one an unsigned digit in
+    [0, 2^bits), so the slots are plain byte ranges of the sum."""
+    if not value:
+        return {}
+    size = bits // 8
+    width = size * digits
+    # the top balanced digit sits at or below position bit_length // bits
+    count = value.bit_length() // (bits * digits) + 1
+    half = (bytes(size - 1) + b"\x80") * digits
+    raw = (value + int.from_bytes(half * count, "little")).to_bytes(width * count, "little")
+    base = int.from_bytes(half, "little")
+    slots = {}
+    for start in range(0, width * count, width):
+        chunk = raw[start:start + width]
+        if chunk != half:
+            slots[start // width] = int.from_bytes(chunk, "little") - base
+    return slots
+
+
+class PackedDefect:
+    """The defect of ``rigidity_defect``, a Laurent polynomial in z over
+    Z[x], with x packed at 2^``bits``.
+
+    Dense (``degree`` given): one int, z^k's coefficient being slot k of
+    ``degree + 1`` digits.  Sparse (``degree`` None): ``packed`` maps a
+    z-exponent to its nonzero coefficient.  Zero tests read the ints;
+    ``term_count`` and ``terms`` decode them on first use.
+    """
+
+    __slots__ = ("bits", "degree", "_value", "_packed", "_terms")
+
+    def __init__(
+        self, packed: Union[int, Mapping[int, int]], bits: int, degree: Optional[int] = None
+    ):
+        self.bits = bits
+        self.degree = degree
+        if degree is None:
+            self._value, self._packed = None, {k: v for k, v in packed.items() if v}
+        else:
+            self._value, self._packed = packed, None
+        self._terms: Optional[dict[int, dict[int, int]]] = None
+
+    @property
+    def packed(self) -> dict[int, int]:
+        """{z-exponent: nonzero int}, the x-polynomial at x = 2^bits."""
+        if self._packed is None:
+            self._packed = _split_slots(self._value, self.bits, self.degree + 1)
+        return self._packed
+
+    def is_zero(self) -> bool:
+        return not self._packed if self._value is None else self._value == 0
+
+    def term_count(self) -> int:
+        """Number of nonzero z-coefficients."""
+        return len(self.packed)
+
+    @property
+    def terms(self) -> dict[int, dict[int, int]]:
+        """{z-exponent: {x-exponent: int}}, the shape of ``LaurentZ.terms``."""
+        if self._terms is None:
+            self._terms = {k: _split_slots(v, self.bits, 1) for k, v in self.packed.items()}
+        return self._terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PackedDefect):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"PackedDefect({self.terms!r})"
+
+
 def _times_x_z_plus_one(poly: dict, w: int, bits: int) -> dict:
     """poly * (x z^w + 1), x packed at 2^bits."""
     out = dict(poly)
@@ -270,19 +353,20 @@ def rigidity_defect(data: FixedPointData) -> PackedDefect:
     size of the shared multiset, so its x-coefficients are bounded by
     its L1 norm 2^F.  The defect sums m of the first and m of the second,
     so its coefficients are at most 2m * 2^F < 2^(B - 1) for
-    B = F + bit_length(m + 1) + 2, and packing x at 2^B is injective.
+    B = F + bit_length(m + 1) + 2, rounded up to whole bytes.  Each
+    x-coefficient is then one balanced base-2^B digit, so packing x at
+    2^B is injective and the digits are byte ranges.
 
     Every z-coefficient has x-degree at most n and every z-exponent lies
-    in 0 .. D, D the sum of the shared multiset.  So with B rounded up to
-    whole bytes and S = (n + 1) B, the whole defect is one int with x at
-    2^B and z at 2^S: the x^i coefficient of z^k is balanced digit
-    k (n + 1) + i, no digit spills into the next, and the int is 0
-    exactly when the defect is.  Each binomial step is then one shift and
-    one add on that int.  Its size, (D + 1) S bits, grows with the
-    weights themselves, so past MAX_DENSE_BITS (large weights with few
-    factors, such as L1 and S3 at 10^9 + 7) the defect is kept as one
-    int per z-exponent instead, whose count grows only with the distinct
-    weight sums.
+    in 0 .. D, D the sum of the shared multiset.  So with S = (n + 1) B,
+    the whole defect is one int with x at 2^B and z at 2^S: the x^i
+    coefficient of z^k is digit k (n + 1) + i, no digit spills into the
+    next, and the int is 0 exactly when the defect is.  Each binomial
+    step is then one shift and one add on that int.  Its size,
+    (D + 1) S bits, grows with the weights themselves, so past
+    MAX_DENSE_BITS (large weights with few factors, such as L1 and S3 at
+    10^9 + 7) the defect is kept as one int per z-exponent instead,
+    whose count grows only with the distinct weight sums.
     """
     n = data.n
     shared, extra = _shared_factors([sorted(map(abs, p.weights)) for p in data.points])
@@ -298,12 +382,10 @@ def rigidity_defect(data: FixedPointData) -> PackedDefect:
             f" the bound {MAX_DEFECT_WORK}"
         )
     coeffs = _ah_coefficients(data)
-    bits = len(shared) + (data.m + 1).bit_length() + 2
-    dense_bits = -(-bits // 8) * 8
-    slot = (n + 1) * dense_bits
+    bits = -(-(len(shared) + (data.m + 1).bit_length() + 2) // 8) * 8
+    slot = (n + 1) * bits
     if (degree + 1) * slot <= MAX_DENSE_BITS:
-        value = _dense_defect(data, extra, shared, coeffs, dense_bits, slot)
-        return PackedDefect(value, dense_bits, n)
+        return PackedDefect(_dense_defect(data, extra, shared, coeffs, bits, slot), bits, n)
     return PackedDefect(_sparse_defect(data, extra, shared, coeffs, bits), bits)
 
 

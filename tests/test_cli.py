@@ -162,6 +162,14 @@ def test_verify_malformed_json_reports_position(capsys, monkeypatch):
     assert "input:1:" in err
 
 
+def test_verify_deeply_nested_json_exits_two(capsys, monkeypatch):
+    # the decoder's recursion limit is an input error, not a crash (exit 1)
+    text = "[" * 100_000 + "]" * 100_000
+    status, out, err = run_cli(capsys, ["verify", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert status == 2 and out == ""
+    assert err == "error: input: the document nests too deeply\n"
+
+
 def test_verify_table_format(capsys, monkeypatch):
     status, out, _ = run_cli(
         capsys, ["verify", "-", "--format", "table"], stdin=L1_4, monkeypatch=monkeypatch

@@ -340,6 +340,36 @@ def test_fixed_point_validation():
         FixedPoint((), 1)
 
 
+@pytest.mark.parametrize("weights, sign", [
+    ((2.7, -1), 1),
+    ((Fraction(5, 2),), 1),
+    (("3",), 1),
+    ((1,), 1.0),
+    ((1,), "1"),
+])
+def test_fixed_point_rejects_non_integers(weights, sign):
+    with pytest.raises(ValueError, match="must be integers"):
+        FixedPoint(weights, sign)
+
+
+class Index:
+    """An integer-like that is not an int, as numpy's integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_fixed_point_stores_integer_likes_as_ints():
+    point = FixedPoint((Index(4), 2), Index(-1))
+    assert point.weights == (4, 2) and point.sign == -1
+    assert all(type(v) is int for v in (*point.weights, point.sign))
+    data = FixedPointData(Index(2), (point,))
+    assert data.n == 2 and type(data.n) is int
+
+
 def test_fixed_point_data_validation():
     with pytest.raises(ValueError):
         FixedPointData(2, (FixedPoint((1,), 1),))
@@ -347,3 +377,5 @@ def test_fixed_point_data_validation():
         FixedPointData(0, (FixedPoint((1,), 1),))
     with pytest.raises(ValueError):
         FixedPointData(1, ())
+    with pytest.raises(ValueError, match="must be an integer"):
+        FixedPointData(1.0, (FixedPoint((1,), 1),))

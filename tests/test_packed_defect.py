@@ -7,9 +7,8 @@ import pytest
 
 from conftest import assert_matches_reference
 from txyrigid import genera
-from txyrigid.algebra import _balanced_digits, _split_slots
 from txyrigid.classify import make_l1, make_s3, make_z
-from txyrigid.genera import FixedPoint, FixedPointData, rigidity_defect
+from txyrigid.genera import FixedPoint, FixedPointData, _split_slots, rigidity_defect
 from txyrigid.search import SearchParams, _data_from_key, _enumerate_shard
 
 
@@ -110,20 +109,12 @@ def test_layout_switches_at_the_dense_cap():
 def test_packed_digits_near_the_coefficient_bound(monkeypatch):
     # m equal points with equal signs and equal weights: the defect is m
     # times one point's, whose x-coefficients are the largest binomial
-    # coefficients C(n, k); these reach 2^(B - 4) for the dict loop's
-    # packing width B (the one-int layout rounds B up to whole bytes)
+    # coefficients C(n, k); these reach 2^(B - 4) for B = F +
+    # bit_length(m + 1) + 2 before it is rounded up to whole bytes, and at
+    # n = 5, m = 14 they pass a digit one byte narrower than the rounded B
     for n, m in ((2, 2), (2, 6), (3, 6), (4, 14), (5, 14)):
         data = FixedPointData(n, (FixedPoint((1,) * n, 1),) * m)
         assert_kernels_match_reference(data, monkeypatch)
-
-
-def test_balanced_digits_round_trip():
-    rng = random.Random(5)
-    for bits in (3, 8, 40):
-        for _ in range(50):
-            digits = {i: rng.randrange(-(1 << bits - 1), 1 << bits - 1) for i in range(6)}
-            value = sum(d << (bits * i) for i, d in digits.items())
-            assert _balanced_digits(value, bits) == {i: d for i, d in digits.items() if d}
 
 
 def test_split_slots_round_trip():

@@ -15,7 +15,7 @@ from txyrigid.classify import (
     make_z,
     replay_proof,
 )
-from txyrigid.genera import FixedPoint, FixedPointData, rigidity_defect
+from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, rigidity_defect
 from txyrigid.search import SearchParams, _count_classes, enumerate_data
 
 SIGNS = st.sampled_from((1, -1))
@@ -143,3 +143,55 @@ def large_weight_data(draw):
 def test_packed_defect_matches_reference(data):
     # terms, zero test and term count against the LaurentZ product chain
     assert_matches_reference(data)
+
+
+# -- symmetries of the exact check ----------------------------------------------
+
+
+def _verdict(data):
+    report = is_rigid(data)
+    return report.rigid, report.ah_constant, report.defect.term_count()
+
+
+@given(small_data() | two_points(), st.data())
+def test_exact_check_invariant_under_permutations(base, data):
+    points = [
+        FixedPoint(tuple(data.draw(st.permutations(p.weights))), p.sign)
+        for p in data.draw(st.permutations(base.points))
+    ]
+    assert _verdict(FixedPointData(base.n, tuple(points))) == _verdict(base)
+
+
+@given(small_data() | two_points())
+def test_negation_swaps_x_and_y_in_the_ah_constant(data):
+    # sign * x^s+ (-y)^s- goes to sign * x^s- (-y)^s+, which is (-1)^n
+    # times the first with x and y swapped
+    base = is_rigid(data)
+    negated = is_rigid(FixedPointData(data.n, tuple(
+        FixedPoint(tuple(-w for w in p.weights), p.sign) for p in data.points
+    )))
+    assert negated.rigid == base.rigid
+    assert negated.ah_constant == base.ah_constant.swap_xy() * (-1) ** data.n
+
+
+@st.composite
+def odd_n_odd_m(draw):
+    """Data with odd n and an odd number of points: any points, or a rigid
+    family member of odd n with one more point."""
+    if draw(st.booleans()):
+        n, m = draw(st.sampled_from((1, 3, 5))), draw(st.sampled_from((1, 3, 5)))
+        points = ()
+    else:
+        base = draw(family_members().filter(lambda d: d.n % 2))
+        n, m, points = base.n, 1, base.points
+    more = tuple(FixedPoint(tuple(draw(_weights(n, 6))), draw(SIGNS)) for _ in range(m))
+    return FixedPointData(n, points + more)
+
+
+@given(odd_n_odd_m())
+def test_odd_n_with_odd_m_is_never_rigid(data):
+    # with n odd, limit symmetry pairs the Atiyah-Hirzebruch coefficient of
+    # x^i y^(n-i) with minus that of x^(n-i) y^i, so they sum to 0; but
+    # every point adds +-1 to one of them, so they sum to m mod 2
+    report = is_rigid(data)
+    assert not report.limits_symmetric and not report.rigid
