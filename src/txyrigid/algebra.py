@@ -205,14 +205,18 @@ class PolyXY:
             if j:
                 body.append("y" if j == 1 else f"y^{j}")
             mono = "*".join(body)
-            mag = abs(c)
+            # the magnitude from the reduced numerator and denominator ints
+            num, den = c.numerator, c.denominator
+            sign = "+ "
+            if num < 0:
+                sign, num = "- ", -num
+            mag = str(num) if den == 1 else f"{num}/{den}"
             if not mono:
-                piece = str(mag)
-            elif mag == 1:
-                piece = mono
+                parts.append(sign + mag)
+            elif mag == "1":
+                parts.append(sign + mono)
             else:
-                piece = f"{mag}*{mono}"
-            parts.append(("- " if c < 0 else "+ ") + piece)
+                parts.append(f"{sign}{mag}*{mono}")
         text = " ".join(parts)
         return "-" + text[2:] if text.startswith("- ") else text[2:]
 

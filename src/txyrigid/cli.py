@@ -26,7 +26,8 @@ rational values rendered as reduced fraction strings.
 Exit codes: 0 rigid / constant / success, 1 completed with a negative
 verdict, 2 input or usage error, 141 the reader closed stdout early.  Data whose exact check or series would
 exceed its work bound (``genera.MAX_DEFECT_WORK``,
-``series.MAX_SERIES_WORK``) is an input error, as are search bounds whose
+``series.MAX_SERIES_WORK``) or its size bound (``series.MAX_SERIES_BITS``)
+is an input error, as are search bounds whose
 join work exceeds ``search.MAX_SEARCH_WORK`` and ``search --jobs``
 below 1; the search runs at most ``os.cpu_count()`` workers whatever
 ``--jobs`` asks for.

@@ -22,8 +22,13 @@ therefore contributes
     sign * sum_k x^(n-k) (x+y)^k e_k(g(w_1 t), .., g(w_n t)),
 
 with e_k the elementary symmetric functions.  The n + 1 series e_k have
-rational coefficients; they are summed over the points first, and x and
-y enter only when the result is assembled, one polynomial per exponent.
+rational coefficients, kept as integer numerators over one common
+denominator; each is built by the recursion e_k += e_(k-1) * factor, one
+multiply-accumulate per update, and summed over the points.  x and y
+enter only at assembly: the x^(n-b) y^b part of every retained
+coefficient comes from one integer row over all exponents, to which each
+summed e_k contributes C(k, b) times itself, shifted by n - k.  Nothing
+here is shared with the exact z-domain check in ``genera``.
 The stored coefficient of t^k is the true u^k coefficient divided by
 (x+y)^k.  Constancy is unaffected by the scaling (the coefficient ring
 has no zero divisors) and the constant term itself carries no scaling
@@ -57,6 +62,16 @@ from .genera import FixedPointData
 # weights at order n + 1 first exceed it at n = 15; admitted data takes at
 # most a few seconds.
 MAX_SERIES_WORK = 1 << 20
+
+# Size guard: genus_series refuses data when its bound on the bits the
+# weights, and a custom genus's coefficients, put into one integer of the
+# expansion (_size_estimate) exceeds this.  Two points at n = 2, order 200,
+# with weights (+-a, a + 2): a = 10^20 (13,733 bits) is admitted and takes
+# 0.7 s; a = 10^30 (20,500 bits), 10^300 and 10^3000 are refused in
+# milliseconds, where the expansion takes 1 s, 25 s and over 5 minutes and
+# its report would print integers of more than 4,300 digits (about 14,300
+# bits), past the interpreter's default limit for int-to-str conversion.
+MAX_SERIES_BITS = 1 << 14
 
 
 @lru_cache(maxsize=None)
@@ -116,11 +131,13 @@ def txy_factor_series(w: int, length: int) -> tuple[int, ...]:
     return _factor(w, *_g_regular(length))
 
 
-def _mul(a, b, length: int) -> list[int]:
-    # the first `length` coefficients of the product of two power series
-    out = [0] * length
-    nonzero = [(j, c) for j, c in enumerate(b[:length]) if c]
-    for i, ai in enumerate(a[:length]):
+def _mul_add(acc: list[int], a, b) -> list[int]:
+    # acc plus the product of the power series a and b, all three of one
+    # length, truncated to that length
+    out = list(acc)
+    length = len(out)
+    nonzero = [(j, c) for j, c in enumerate(b) if c]
+    for i, ai in enumerate(a):
         if not ai:
             continue
         for j, bj in nonzero:
@@ -167,6 +184,33 @@ def genus_from_coefficients(name: str, coefficients) -> GenusSeries:
     return GenusSeries(name, regular_coeffs=tuple(Fraction(c) for c in coefficients))
 
 
+def _size_estimate(n: int, length: int, weights, common: int, genus: GenusSeries) -> int:
+    """A bound on the bits the data and the genus put into one integer of
+    the expansion, from the weights and the listed coefficients alone.
+
+    The t^i entry of a factor carries w^i times common / w, with common
+    the lcm of the weights, so an entry of a product of n factors, or of
+    a row lifted to the common denominator, carries at most
+    (length - 1) * bits(max |w|) + n * bits(common) bits of them.  A custom
+    genus's coefficients enter a factor as numerators over D, the lcm of
+    their denominators, and add n * (bits(D) + bits of the largest
+    numerator).  D is built only until n * bits(D) alone is over
+    MAX_SERIES_BITS, because the lcm of many large denominators is itself
+    slow; an estimate over the bound may therefore stop short.  The
+    Bernoulli coefficients of TXY and Todd add a size fixed by the order
+    (about 1,300 bits at order 200), which is left out."""
+    bits = (length - 1) * max(abs(w) for w in weights).bit_length() + n * common.bit_length()
+    if genus.regular_coeffs is not None:
+        denominator, numerator_bits = 1, 0
+        for c in genus.regular_coeffs[: length - 1]:
+            denominator = lcm(denominator, c.denominator)
+            numerator_bits = max(numerator_bits, abs(c.numerator).bit_length())
+            if n * denominator.bit_length() > MAX_SERIES_BITS:
+                break
+        bits += n * (denominator.bit_length() + numerator_bits)
+    return bits
+
+
 def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> SeriesU:
     """The candidate's equivariant genus as a truncated series: the signed
     sum over fixed points of the product of weight factors.  Retains
@@ -174,13 +218,20 @@ def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> Series
 
     Every factor is t^-1 times a power series, so each e_k of a point's
     factors is exact to order - 1 when its power series are kept to length
-    order + n.  Before any product, the work is bounded from m, n and
-    work = order + 2n + 6, a length above order + n: a point's
-    elementary-symmetric recursion makes at most n(n + 1)/2 products of
-    rational series of that length, at most work^2 / 2 coefficient products each,
-    and the assembly into polynomials is smaller still, so
-    m * n(n + 1) * work^2 bounds the coefficient products.  A bound above
-    MAX_SERIES_WORK raises ValueError."""
+    order + n.  A point's e_k come from the elementary-symmetric recursion
+    e_k += e_(k-1) * factor, one multiply-accumulate per update; for the
+    two-parameter genus the summed e_k are then assembled into one integer
+    row per y-exponent over every retained exponent, and each nonzero
+    entry becomes one reduced fraction.
+
+    Two guards run before any product; each raises ValueError.  The work
+    is bounded from m, n and work = order + 2n + 6, a length above
+    order + n: the recursion makes at most n(n + 1)/2 products of series of
+    that length per point, at most work^2 / 2 coefficient products each,
+    and the assembly is smaller still, so m * n(n + 1) * work^2 bounds the
+    coefficient products; it may not exceed MAX_SERIES_WORK.  The bits
+    those products carry, as _size_estimate bounds them, may not exceed
+    MAX_SERIES_BITS."""
     n = data.n
     if order < n + 1:
         raise ValueError("order must be at least n + 1")
@@ -192,6 +243,14 @@ def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> Series
             f" the bound {MAX_SERIES_WORK}"
         )
     length = order + n
+    weights = {w for point in data.points for w in point.weights}
+    common = lcm(*weights)
+    bits = _size_estimate(n, length, weights, common, genus)
+    if bits > MAX_SERIES_BITS:
+        raise ValueError(
+            f"series size estimate {bits} bits per coefficient exceeds"
+            f" the bound {MAX_SERIES_BITS}"
+        )
     if genus.symbolic:
         numerators, denominator = _g_regular(length)
     else:
@@ -200,8 +259,6 @@ def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> Series
         )
     # every factor t * F(w t) as integer numerators over one denominator,
     # scale: its own denominator is w * denominator, lifted by common / w
-    weights = {w for point in data.points for w in point.weights}
-    common = lcm(*weights)
     scale = common * denominator
     factors = {}
     for w in weights:
@@ -215,10 +272,9 @@ def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> Series
         elementary = [[point.sign] + [0] * (length - 1)]
         for w in point.weights:
             a = factors[w]
-            elementary.append(_mul(elementary[-1], a, length))
+            elementary.append(_mul_add([0] * length, elementary[-1], a))
             for k in range(len(elementary) - 2, low, -1):
-                step = _mul(elementary[k - 1], a, length)
-                elementary[k] = [p + q for p, q in zip(elementary[k], step)]
+                elementary[k] = _mul_add(elementary[k], elementary[k - 1], a)
         for k in range(low, n + 1):
             sums[k] = [p + q for p, q in zip(sums[k], elementary[k])]
     full = scale**n
@@ -226,19 +282,24 @@ def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> Series
         coeffs = tuple(PolyXY.const(Fraction(c, full)) for c in sums[n])
         return SeriesU(-n, order, coeffs)
     # the t^j coefficient of x^(n-k) (x+y)^k t^-k e_k has the y^b term
-    # C(k, b) sums[k][j + k] / scale^k
-    lift = [scale ** (n - k) for k in range(n + 1)]
-    coeffs = []
-    for j in range(-n, order):
-        terms = {}
-        for b in range(n + 1):
-            c = sum(
-                comb(k, b) * sums[k][j + k] * lift[k] for k in range(max(b, -j), n + 1)
-            )
+    # C(k, b) sums[k][j + k] / scale^k; over full = scale^n, row b holds
+    # the numerators of every retained j at index j + n, so sums[k] enters
+    # it lifted by scale^(n-k) and shifted by n - k
+    lifted = []
+    for k in range(n + 1):
+        lift = scale ** (n - k)
+        lifted.append([c * lift for c in sums[k]])
+    terms = [{} for _ in range(length)]
+    for b in range(n + 1):
+        row = [0] * length
+        for k in range(b, n + 1):
+            f, shift = comb(k, b), n - k
+            row[shift:] = [r + f * c for r, c in zip(row[shift:], lifted[k])]
+        key = (n - b, b)
+        for i, c in enumerate(row):
             if c:
-                terms[(n - b, b)] = Fraction(c, full)
-        coeffs.append(PolyXY(terms))
-    return SeriesU(-n, order, tuple(coeffs))
+                terms[i][key] = Fraction(c, full)
+    return SeriesU(-n, order, tuple(PolyXY._raw(t) for t in terms))
 
 
 def series_is_constant(series: SeriesU) -> Optional[PolyXY]:

@@ -83,6 +83,24 @@ def test_poly_substitute_and_swap():
 def test_poly_rendering():
     assert str(PolyXY.zero()) == "0"
     assert str(X * Y * Y - X * X * Y) == "x*y^2 - x^2*y"
+    # one case per branch: sign of the leading term, constant, unit and
+    # non-unit magnitudes, integer and fractional coefficients
+    cases = [
+        ({(2, 0): Fraction(-1, 2), (2, 1): 1, (3, 0): Fraction(-2, 3)}, "-1/2*x^2 + x^2*y - 2/3*x^3"),
+        ({(0, 0): 1}, "1"),
+        ({(0, 0): -1}, "-1"),
+        ({(0, 0): Fraction(-3, 4)}, "-3/4"),
+        ({(0, 0): 5}, "5"),
+        ({(1, 1): -1}, "-x*y"),
+        ({(1, 1): 1}, "x*y"),
+        ({(0, 1): -1, (3, 0): 1}, "-y + x^3"),
+        ({(0, 2): -1, (1, 0): -4}, "-y^2 - 4*x"),
+        ({(0, 0): Fraction(5, 3), (1, 2): -3, (2, 1): 7}, "5/3 - 3*x*y^2 + 7*x^2*y"),
+        ({(0, 0): -2, (0, 3): Fraction(-7, 5), (2, 0): Fraction(1, 2)}, "-2 - 7/5*y^3 + 1/2*x^2"),
+        ({(0, 0): Fraction(-3, 4), (1, 1): -1}, "-3/4 - x*y"),
+    ]
+    for terms, text in cases:
+        assert str(PolyXY(terms)) == text
 
 
 # -- LaurentZ: integer polynomials in x as z-coefficients -------------------------

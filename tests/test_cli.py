@@ -156,6 +156,19 @@ def test_series_work_guard_exits_two_fast(capsys, monkeypatch):
     assert "series work estimate" in err and "exceeds the bound" in err
 
 
+def test_series_size_guard_exits_two_fast(capsys, monkeypatch):
+    # weights of 31, 301 and 3,001 digits at order 200, whose expansion
+    # takes from a second to minutes
+    for exponent in (30, 300, 3000):
+        a = 10**exponent + 7
+        doc = document(2, [((a, a + 2), 1), ((-a, a + 2), 1)], order=200)
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, ["series", "-"], stdin=doc, monkeypatch=monkeypatch)
+        assert time.perf_counter() - start < 0.1
+        assert status == 2 and out == ""
+        assert "series size estimate" in err and "bits per coefficient exceeds the bound 16384" in err
+
+
 def test_verify_malformed_json_reports_position(capsys, monkeypatch):
     status, _, err = run_cli(capsys, ["verify", "-"], stdin="{nope", monkeypatch=monkeypatch)
     assert status == 2

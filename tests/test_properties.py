@@ -1,5 +1,7 @@
 """Property tests (hypothesis, derandomized by the conftest profile)."""
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -17,6 +19,7 @@ from txyrigid.classify import (
 )
 from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, rigidity_defect
 from txyrigid.search import SearchParams, _count_classes, enumerate_data
+from txyrigid.series import TODD, TXY, genus_series
 
 SIGNS = st.sampled_from((1, -1))
 
@@ -195,3 +198,43 @@ def test_odd_n_with_odd_m_is_never_rigid(data):
     # every point adds +-1 to one of them, so they sum to m mod 2
     report = is_rigid(data)
     assert not report.limits_symmetric and not report.rigid
+
+
+# -- symmetries of the series route ---------------------------------------------
+
+
+def _series(data, genus):
+    return genus_series(data, genus, data.n + 4)
+
+
+@given(small_data() | two_points(), st.sampled_from((TXY, TODD)), st.data())
+def test_series_invariant_under_permutations(base, genus, data):
+    points = [
+        FixedPoint(tuple(data.draw(st.permutations(p.weights))), p.sign)
+        for p in data.draw(st.permutations(base.points))
+    ]
+    assert _series(FixedPointData(base.n, tuple(points)), genus) == _series(base, genus)
+
+
+@given(small_data() | two_points())
+def test_series_negation_swaps_x_and_y(data):
+    # x + (x+y) g(-s) = -(y + (x+y) g(s)), since g(-s) = -1 - g(s)
+    base = _series(data, TXY)
+    negated = _series(FixedPointData(data.n, tuple(
+        FixedPoint(tuple(-w for w in p.weights), p.sign) for p in data.points
+    )), TXY)
+    assert negated.coeffs == tuple(c.swap_xy() * (-1) ** data.n for c in base.coeffs)
+
+
+@given(small_data() | two_points(), st.integers(-4, 4).filter(bool))
+def test_series_scaling_weights_scales_coefficients(data, c):
+    # the weights enter only through w * u (w * t for TXY), so scaling them
+    # by c multiplies the u^k (t^k) coefficient by c^k
+    scaled = FixedPointData(data.n, tuple(
+        FixedPoint(tuple(c * w for w in p.weights), p.sign) for p in data.points
+    ))
+    for genus in (TXY, TODD):
+        base, image = _series(data, genus), _series(scaled, genus)
+        assert image.coeffs == tuple(
+            coeff * Fraction(c) ** k for k, coeff in enumerate(base.coeffs, base.lowest)
+        )

@@ -8,7 +8,9 @@ from conftest import random_data
 from txyrigid.algebra import PolyXY, SeriesU
 from txyrigid.classify import make_l1, make_s3
 from txyrigid.genera import FixedPoint, FixedPointData, ah_constant, is_rigid
+from txyrigid import series
 from txyrigid.series import (
+    MAX_SERIES_BITS,
     MAX_SERIES_WORK,
     TODD,
     TXY,
@@ -250,54 +252,7 @@ def test_principal_part_exponent_bound():
         assert s.lowest == -data.n
 
 
-# -- symmetries ---------------------------------------------------------------
-
-
-def transformed(data, weight_map, shuffle=None):
-    points = [
-        FixedPoint(tuple(weight_map(w) for w in p.weights), p.sign) for p in data.points
-    ]
-    if shuffle is not None:
-        points = [FixedPoint(tuple(shuffle(list(p.weights))), p.sign) for p in points]
-        points = shuffle(points)
-    return FixedPointData(data.n, tuple(points))
-
-
-def test_negated_weights_swap_x_and_y():
-    rng = random.Random(19)
-    for _ in range(30):
-        data = random_data(rng, max_abs=5)
-        s = genus_series(data, TXY, data.n + 4)
-        negated = genus_series(transformed(data, lambda w: -w), TXY, data.n + 4)
-        sign = (-1) ** data.n
-        for k in range(s.lowest, s.order):
-            assert negated.coeff(k) == s.coeff(k).swap_xy() * sign
-
-
-def test_scaled_weights_scale_coefficients():
-    rng = random.Random(20)
-    for _ in range(30):
-        data = random_data(rng, max_abs=4)
-        c = rng.choice((2, 3, -2))
-        scaled_data = transformed(data, lambda w: c * w)
-        for genus in (TXY, TODD):
-            s = genus_series(data, genus, data.n + 4)
-            scaled = genus_series(scaled_data, genus, data.n + 4)
-            for k in range(s.lowest, s.order):
-                assert scaled.coeff(k) == s.coeff(k) * Fraction(c) ** k
-
-
-def test_permuted_points_and_weights_leave_series_unchanged():
-    rng = random.Random(21)
-
-    def shuffle(items):
-        rng.shuffle(items)
-        return items
-
-    for _ in range(30):
-        data = random_data(rng, max_abs=5)
-        permuted = transformed(data, lambda w: w, shuffle)
-        assert genus_series(permuted, TXY, data.n + 4) == genus_series(data, TXY, data.n + 4)
+# -- guards -------------------------------------------------------------------
 
 
 def test_series_work_guard_admits_n14_refuses_n15():
@@ -312,3 +267,100 @@ def test_series_work_guard_admits_n14_refuses_n15():
         else:
             with pytest.raises(ValueError, match="exceeds the bound"):
                 genus_series(data, TXY, n + 1)
+
+
+class Admitted(Exception):
+    pass
+
+
+def test_series_size_guard_admits_1e20_refuses_1e30(monkeypatch):
+    # two points at n = 2, order 200, with weights (+-a, a + 2); the size
+    # guard runs before the Bernoulli coefficients are computed, so an
+    # admitted datum reaches _g_regular and stops there
+    def admitted(length):
+        raise Admitted
+
+    monkeypatch.setattr(series, "_g_regular", admitted)
+    for exponent, ok in ((20, True), (30, False), (300, False)):
+        a = 10**exponent + 7
+        data = FixedPointData(2, (FixedPoint((a, a + 2), 1), FixedPoint((-a, a + 2), 1)))
+        bits = 201 * a.bit_length() + 2 * (a * (a + 2)).bit_length()
+        assert (bits <= MAX_SERIES_BITS) == ok
+        with pytest.raises(Admitted if ok else ValueError, match=None if ok else f"{bits} bits"):
+            genus_series(data, TXY, 200)
+
+
+def test_series_size_guard_counts_custom_coefficients():
+    # 60 coefficients over distinct 1000-digit denominators, whose lcm
+    # alone takes seconds and whose expansion minutes; small ones pass
+    data = make_l1(1)
+    huge = genus_from_coefficients("huge", [Fraction(1, 10**999 + 2 * k + 1) for k in range(60)])
+    with pytest.raises(ValueError, match="series size estimate"):
+        genus_series(data, huge, 100)
+    small = genus_from_coefficients("small", [Fraction(1, 10**9 + 2 * k + 1) for k in range(60)])
+    assert genus_series(data, small, 12).lowest == -1
+
+
+# -- differential: the package against a reference built from this file ------
+
+
+def reference_factor(genus, w, length):
+    """A weight's factor as Fraction series (A, B) with factor = x*A + y*B:
+    t * (x + (x+y) g(w t)) for TXY, and u * F(w u) for a rational genus,
+    where F(u) = H(u)/u is Todd's 1/(1 - e^{-u}) from the inverse of
+    (1 - e^{-u})/u, or 1/u plus the genus's coefficient list (B unused)."""
+    if genus.symbolic:
+        g = g_coefficients(w, length)
+        return [c + (i == 1) for i, c in enumerate(g)], g
+    if genus is TODD:
+        base = inverse([-c for c in exp_minus_one_over_t(-1, length)], length)
+    else:
+        base = [Fraction(1), *genus.regular_coeffs][:length]
+        base += [Fraction(0)] * (length - len(base))
+    return [c * Fraction(w) ** i / w for i, c in enumerate(base)], None
+
+
+def reference_series(data, genus, order):
+    """The coefficients of t^-n .. t^(order-1) (u for a rational genus) of
+    the signed sum over points of the product of their weight factors.
+    The product is multiplied out one factor at a time with mul, keeping
+    one Fraction series per y-exponent b (only b = 0 for a rational
+    genus)."""
+    n, length = data.n, order + data.n
+    total = {}
+    for point in data.points:
+        product = {0: [point.sign] + [0] * (length - 1)}
+        for w in point.weights:
+            a, b = reference_factor(genus, w, length)
+            step = {}
+            for e, coeffs in product.items():
+                for e2, f in ((e, a), (e + 1, b)):
+                    if f is not None:
+                        term = mul(coeffs, f, length)
+                        step[e2] = [p + q for p, q in zip(step.get(e2, [0] * length), term)]
+            product = step
+        for e, coeffs in product.items():
+            total[e] = [p + q for p, q in zip(total.get(e, [0] * length), coeffs)]
+    return [
+        PolyXY({(n - e, e) if genus.symbolic else (0, 0): coeffs[i] for e, coeffs in total.items()})
+        for i in range(length)
+    ]
+
+
+def test_genus_series_matches_reference_product():
+    # every n = 1..6 with every m = 1..4; order 24, the costly reference,
+    # at one m per n
+    rng = random.Random(22)
+    custom = genus_from_coefficients(
+        "custom", [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+    )
+    for n in range(1, 7):
+        for m in range(1, 5):
+            data = random_data(rng, n=n, m=m, max_abs=6)
+            cases = [(TXY, n + 1), (TXY, 12), (TODD, 12), (custom, 12)]
+            if m == n % 4 + 1:
+                cases.append((TXY, 24))
+            for genus, order in cases:
+                got = genus_series(data, genus, order)
+                want = reference_series(data, genus, order)
+                assert [c.terms for c in got.coeffs] == [c.terms for c in want], (genus.name, order, data)
