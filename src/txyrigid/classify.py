@@ -25,7 +25,6 @@ defect but whether it is zero.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -86,7 +85,7 @@ def _require_two_points(data: FixedPointData) -> tuple[FixedPoint, FixedPoint]:
 
 def _is_family_z(p1: FixedPoint, p2: FixedPoint) -> bool:
     # weight order inside a point is not meaningful: compare multisets
-    return p1.sign == -p2.sign and Counter(p1.weights) == Counter(p2.weights)
+    return p1.sign == -p2.sign and sorted(p1.weights) == sorted(p2.weights)
 
 
 def pairing_check(data: FixedPointData) -> bool:
@@ -115,7 +114,7 @@ def classify_two_points(data: FixedPointData) -> FamilyTag:
                     len(positive) == 2
                     and len(negative) == 1
                     and negative[0] == -(positive[0] + positive[1])
-                    and Counter(other.weights) == Counter(-w for w in lead.weights)
+                    and sorted(other.weights) == sorted(-w for w in lead.weights)
                 ):
                     return FamilyTag("S3", (positive[0], positive[1]))
     if rigidity_defect(data).is_zero():
@@ -186,7 +185,7 @@ def replay_proof(data: FixedPointData) -> ProofTrace:
     if _is_family_z(p1, p2):
         raise ValueError("family Z data: the non-Z branch does not apply")
 
-    negation_pairing = Counter(p1.weights) == Counter(-w for w in p2.weights)
+    negation_pairing = sorted(p1.weights) == sorted(-w for w in p2.weights)
 
     big = max(abs(w) for w in p1.weights)
     lead = p1

@@ -119,6 +119,21 @@ def load_document(text: str) -> dict:
     return doc
 
 
+def _parse_weights(raw_weights: list, where: str) -> list[int]:
+    """A point's weights; a canonical decimal string costs one match and
+    one int(), and a field name is formatted only for a bad weight."""
+    weights = []
+    for w in raw_weights:
+        if type(w) is str and _INTEGER.fullmatch(w):
+            weights.append(int(w))
+        elif type(w) is int:
+            weights.append(w)
+        else:
+            # padded strings pass here; every other value raises
+            weights.append(_parse_int(w, f"{where}.weights[{len(weights)}]"))
+    return weights
+
+
 def document_data(doc: dict) -> FixedPointData:
     if "n" not in doc:
         raise InputError("n: required field is missing")
@@ -134,16 +149,14 @@ def document_data(doc: dict) -> FixedPointData:
         raw_weights = entry.get("weights")
         if not isinstance(raw_weights, list) or not raw_weights:
             raise InputError(f"{where}.weights: a nonempty list is required")
-        weights = tuple(
-            _parse_int(w, f"{where}.weights[{slot}]") for slot, w in enumerate(raw_weights)
-        )
-        for slot, w in enumerate(weights):
-            if w == 0:
-                raise InputError(f"{where}.weights[{slot}]: weights must be nonzero")
+        # every weight is parsed before any is tested for zero
+        weights = _parse_weights(raw_weights, where)
+        if 0 in weights:
+            raise InputError(f"{where}.weights[{weights.index(0)}]: weights must be nonzero")
         if len(weights) != n:
             raise InputError(f"{where}.weights: expected {n} weights, got {len(weights)}")
         sign = _parse_sign(entry.get("sign", None), f"{where}.sign")
-        points.append(FixedPoint(weights, sign))
+        points.append(FixedPoint(tuple(weights), sign))
     try:
         return FixedPointData(n, tuple(points))
     except ValueError as err:
@@ -260,15 +273,17 @@ def run_verify(args) -> int:
     doc = load_document(_read_input(args.input))
     data = document_data(doc)
     report = is_rigid(data)
+    # a rigid datum's constant is its AH constant: render that once
+    ah_json, ah_pretty = poly_json(report.ah_constant), str(report.ah_constant)
     out = {
         "command": "verify",
         "n": data.n,
         "m": data.m,
         "rigid": report.rigid,
-        "constant": poly_json(report.constant) if report.rigid else None,
-        "constant_pretty": str(report.constant) if report.rigid else None,
-        "ah_constant": poly_json(report.ah_constant),
-        "ah_constant_pretty": str(report.ah_constant),
+        "constant": ah_json if report.rigid else None,
+        "constant_pretty": ah_pretty if report.rigid else None,
+        "ah_constant": ah_json,
+        "ah_constant_pretty": ah_pretty,
         "defect_terms": report.defect.term_count(),
         "limits_symmetric": report.limits_symmetric,
         "weight_gcd": report.weight_gcd,
@@ -326,9 +341,15 @@ def run_series(args) -> int:
     rows = []
     for k in range(series.lowest, series.order):
         c = series.coeff(k)
-        rows.append(
-            {"exp": k, "coeff": poly_json(c), "pretty": str(c)}
-        )
+        try:
+            rows.append({"exp": k, "coeff": poly_json(c), "pretty": str(c)})
+        except ValueError:
+            # str() refuses ints longer than the interpreter's digit limit
+            raise InputError(
+                f"series: the u^{k} coefficient has an integer of more than"
+                f" {sys.get_int_max_str_digits()} digits, the interpreter's limit"
+                " for integer strings"
+            ) from None
     cross = None
     if genus.symbolic:
         zreport = is_rigid(data)
@@ -483,8 +504,19 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a named command is parsed by its own parser, the one the subparsers
+    # action would hand it to; anything else goes through the full parser
+    commands = next(
+        a.choices for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        if command is not None:
+            args = command.parse_args(argv[1:])
+        else:
+            args = _PARSER.parse_args(argv)
     except SystemExit as err:
         # argparse exits 2 on usage errors, matching the error status
         return int(err.code) if err.code else 0

@@ -68,7 +68,7 @@ class FixedPoint:
         object.__setattr__(self, "sign", sign)
         if not self.weights:
             raise ValueError("a fixed point needs at least one weight")
-        if any(w == 0 for w in self.weights):
+        if 0 in self.weights:
             raise ValueError("weights must be nonzero integers")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")

@@ -169,6 +169,24 @@ def test_series_size_guard_exits_two_fast(capsys, monkeypatch):
         assert "series size estimate" in err and "bits per coefficient exceeds the bound 16384" in err
 
 
+def test_series_past_the_print_limit_names_the_coefficient(capsys, monkeypatch):
+    # admitted by the size guard, but the u^195 coefficient has an integer
+    # longer than the interpreter prints by default
+    a = 10**21 + 7
+    doc = document(2, [((a, a + 2), 1), ((-a, a + 2), 1)], order=200)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        status, out, err = run_cli(capsys, ["series", "-"], stdin=doc, monkeypatch=monkeypatch)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert status == 2 and out == ""
+    assert err == (
+        "error: series: the u^195 coefficient has an integer of more than 4300 digits,"
+        " the interpreter's limit for integer strings\n"
+    )
+
+
 def test_verify_malformed_json_reports_position(capsys, monkeypatch):
     status, _, err = run_cli(capsys, ["verify", "-"], stdin="{nope", monkeypatch=monkeypatch)
     assert status == 2
@@ -497,6 +515,38 @@ def test_series_matches_pinned_outputs(capsys, monkeypatch, stratum):
         assert hashlib.sha256(rows).hexdigest() == want["rows_sha256"]
 
 
+PINNED_CHECK = os.path.join(os.path.dirname(PINNED_SEARCH), "check.json")
+CHECK_STRATA = [
+    *(f"near/{n}" for n in range(2, 7)),
+    "z", "l1", "s3", "three",
+    *(f"large/{n}" for n in range(8, 13)),
+]
+
+
+def _check_sample(entries):
+    # the first entry of each verify verdict, and the last entry
+    picked = {}
+    for entry in entries:
+        picked.setdefault(entry["expect"]["verify"]["rigid"], entry)
+    return [*picked.values(), entries[-1]]
+
+
+@pytest.mark.parametrize("stratum", CHECK_STRATA)
+def test_check_matches_pinned_outputs(capsys, monkeypatch, stratum):
+    with open(PINNED_CHECK, encoding="utf-8") as handle:
+        entries = json.load(handle)[stratum]
+    fields = {"verify": ("rigid", "constant", "ah_constant"), "classify": ("rigid", "family")}
+    for entry in _check_sample(entries):
+        stdin = json.dumps(entry["doc"], sort_keys=True)
+        # classify is pinned for the two-point documents only
+        for command, want in entry["expect"].items():
+            status, out, _ = run_cli(capsys, [command, "-"], stdin=stdin, monkeypatch=monkeypatch)
+            report = json.loads(out)
+            assert status == want["exit"]
+            for field in fields[command]:
+                assert report[field] == want[field]
+
+
 def test_search_summary_counts_each_prune_rung(capsys):
     status, out, _ = run_cli(capsys, ["search", "--n", "2", "--m", "2", "--max-weight", "5"])
     summary = json.loads(out.splitlines()[-1])
@@ -601,6 +651,98 @@ def test_usage_error_exits_two():
         env=child_env(),
     )
     assert proc.returncode == 2
+
+
+def _point(*weights, sign="1"):
+    return {"weights": list(weights), "sign": sign}
+
+
+PAIR = [_point("1", "2"), _point("-1", "-2")]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"points": PAIR}, "n: required field is missing"),
+        ({"n": True, "points": PAIR}, "n: expected an integer, got a boolean"),
+        ({"n": "2", "points": [["1", "2"], PAIR[1]]}, "points[0]: expected an object"),
+        (
+            {"n": "2", "points": [PAIR[0], _point()]},
+            "points[1].weights: a nonempty list is required",
+        ),
+        (
+            {"n": "2", "points": [_point("1", 2.0), PAIR[1]]},
+            "points[0].weights[1]: expected an integer or decimal string",
+        ),
+        (
+            {"n": "2", "points": [_point("1", "1_0"), PAIR[1]]},
+            "points[0].weights[1]: '1_0' is not a decimal integer",
+        ),
+        (
+            {"n": "2", "points": [PAIR[0], _point("-1", "\u0662")]},
+            "points[1].weights[1]: '\u0662' is not a decimal integer",
+        ),
+        (
+            {"n": "2", "points": [PAIR[0], _point("-1", "0")]},
+            "points[1].weights[1]: weights must be nonzero",
+        ),
+        (
+            {"n": "2", "points": [_point("1", "2", "3"), PAIR[1]]},
+            "points[0].weights: expected 2 weights, got 3",
+        ),
+        (
+            {"n": "2", "points": [_point("1", "2", sign="2"), PAIR[1]]},
+            "points[0].sign: sign must be +1 or -1, got 2",
+        ),
+        # every weight of a point is parsed before any is tested for zero
+        (
+            {"n": "2", "points": [_point("0", "x"), PAIR[1]]},
+            "points[0].weights[1]: 'x' is not a decimal integer",
+        ),
+    ],
+)
+def test_document_diagnostics(capsys, monkeypatch, doc, message):
+    status, out, err = run_cli(capsys, ["verify", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_help_lists_the_commands(capsys):
+    status, out, _ = run_cli(capsys, ["-h"])
+    assert status == 0
+    assert "{verify,classify,series,search}" in out
+    for command in ("verify", "classify", "series", "search"):
+        assert f"\n    {command}" in out
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        ([], "txyrigid: error: the following arguments are required: command"),
+        (
+            ["bogus"],
+            "txyrigid: error: argument command: invalid choice: 'bogus'"
+            " (choose from 'verify', 'classify', 'series', 'search')",
+        ),
+        # an error after a command names that command
+        (["verify", "--bogus"], "txyrigid verify: error: unrecognized arguments: --bogus"),
+        (
+            ["search", "--n", "1"],
+            "txyrigid search: error: the following arguments are required: --m, --max-weight",
+        ),
+    ],
+)
+def test_usage_errors_name_the_parser(capsys, argv, last_line):
+    status, out, err = run_cli(capsys, argv)
+    assert status == 2 and out == ""
+    assert err.startswith("usage: txyrigid")
+    assert err.splitlines()[-1] == last_line
+
+
+def test_command_help_exits_zero(capsys):
+    status, out, _ = run_cli(capsys, ["series", "--help"])
+    assert status == 0
+    assert out.startswith("usage: txyrigid series [-h]")
+    assert "--order ORDER" in out and "--genus GENUS" in out
 
 
 def test_closed_pipe_exits_quietly():

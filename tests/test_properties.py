@@ -19,7 +19,8 @@ from txyrigid.classify import (
 )
 from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, rigidity_defect
 from txyrigid.search import SearchParams, _count_classes, enumerate_data
-from txyrigid.series import TODD, TXY, genus_series
+from txyrigid.algebra import PolyXY
+from txyrigid.series import TODD, TXY, genus_series, series_is_constant
 
 SIGNS = st.sampled_from((1, -1))
 
@@ -198,6 +199,32 @@ def test_odd_n_with_odd_m_is_never_rigid(data):
     # every point adds +-1 to one of them, so they sum to m mod 2
     report = is_rigid(data)
     assert not report.limits_symmetric and not report.rigid
+
+
+@st.composite
+def l1_differences(draw):
+    """L1(a) x t - L1(b) x t for a != b and a tail t of n - 1 nonzero
+    weights, n <= 7: the points (a, t) and (-a, t) with sign -1 and the
+    points (b, t) and (-b, t) with sign +1."""
+    n = draw(st.integers(1, 7))
+    a, b = draw(st.lists(st.integers(1, 12), min_size=2, max_size=2, unique=True))
+    tail = tuple(draw(_weights(n - 1, 12)))
+    return FixedPointData(n, (
+        FixedPoint((a, *tail), -1),
+        FixedPoint((-a, *tail), -1),
+        FixedPoint((b, *tail), 1),
+        FixedPoint((-b, *tail), 1),
+    ))
+
+
+@given(l1_differences())
+def test_l1_difference_is_rigid_with_constant_zero(data):
+    # each L1 part sums to (x - y) T(z), T the tail's product, so the
+    # difference is rigid with constant 0; the series route agrees
+    report = is_rigid(data)
+    assert report.rigid and report.ah_constant == PolyXY.zero()
+    if data.n <= 4:
+        assert series_is_constant(genus_series(data, TXY, 12)) == PolyXY.zero()
 
 
 # -- symmetries of the series route ---------------------------------------------
