@@ -31,6 +31,21 @@ def _fraction(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def format_terms(terms: Iterable[tuple[tuple[int, int], str]]) -> str:
+    """The text of ``str(PolyXY)`` from its sorted terms, each coefficient
+    given as the string ``str(Fraction)`` makes of it, so a caller that
+    holds those strings converts no integer to decimal again."""
+    parts = []
+    for (i, j), coeff in terms:
+        x = "x" if i == 1 else f"x^{i}" if i else ""
+        y = "y" if j == 1 else f"y^{j}" if j else ""
+        mono = f"{x}*{y}" if x and y else x or y
+        sign, mag = ("- ", coeff[1:]) if coeff[0] == "-" else ("+ ", coeff)
+        parts.append(sign + (mag if not mono else mono if mag == "1" else f"{mag}*{mono}"))
+    text = " ".join(parts) or "+ 0"
+    return "-" + text[2:] if text[0] == "-" else text[2:]
+
+
 class PolyXY:
     """Sparse polynomial in the formal variables x and y.
 
@@ -195,30 +210,7 @@ class PolyXY:
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in self.sorted_terms():
-            body = []
-            if i:
-                body.append("x" if i == 1 else f"x^{i}")
-            if j:
-                body.append("y" if j == 1 else f"y^{j}")
-            mono = "*".join(body)
-            # the magnitude from the reduced numerator and denominator ints
-            num, den = c.numerator, c.denominator
-            sign = "+ "
-            if num < 0:
-                sign, num = "- ", -num
-            mag = str(num) if den == 1 else f"{num}/{den}"
-            if not mono:
-                parts.append(sign + mag)
-            elif mag == "1":
-                parts.append(sign + mono)
-            else:
-                parts.append(f"{sign}{mag}*{mono}")
-        text = " ".join(parts)
-        return "-" + text[2:] if text.startswith("- ") else text[2:]
+        return format_terms((key, str(c)) for key, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"PolyXY({self})"

@@ -24,13 +24,13 @@ canonical form (no platform width limits).  Reports are JSON with all
 rational values rendered as reduced fraction strings.
 
 Exit codes: 0 rigid / constant / success, 1 completed with a negative
-verdict, 2 input or usage error, 141 the reader closed stdout early.  Data whose exact check or series would
-exceed its work bound (``genera.MAX_DEFECT_WORK``,
-``series.MAX_SERIES_WORK``) or its size bound (``series.MAX_SERIES_BITS``)
-is an input error, as are search bounds whose
-join work exceeds ``search.MAX_SEARCH_WORK`` and ``search --jobs``
-below 1; the search runs at most ``os.cpu_count()`` workers whatever
-``--jobs`` asks for.
+verdict, 2 input or usage error, 141 the reader closed stdout early.
+Data whose exact check or series would exceed its work bound
+(``genera.MAX_DEFECT_WORK``, ``series.MAX_SERIES_WORK``) or its size
+bounds (``series.MAX_SERIES_BITS`` and the interpreter's int-to-str digit
+limit) is an input error, as are search bounds whose join work exceeds
+``search.MAX_SEARCH_WORK`` and ``search --jobs`` below 1; the search runs
+at most ``os.cpu_count()`` workers whatever ``--jobs`` asks for.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional
 
-from .algebra import PolyXY
+from .algebra import PolyXY, format_terms
 from .classify import ProofTrace, classify_two_points, pairing_check, replay_proof
 from .genera import FixedPoint, FixedPointData, is_rigid
 from .search import SearchParams, SearchResult, search_rigid
@@ -209,19 +209,18 @@ def document_order(doc: dict, override: Optional[int], n: int) -> int:
 
 
 def poly_json(p: PolyXY) -> list[dict]:
-    return [
-        {"x": i, "y": j, "coeff": str(c)}
-        for (i, j), c in p.sorted_terms()
-    ]
+    return [{"x": i, "y": j, "coeff": str(c)} for (i, j), c in p.sorted_terms()]
+
+
+def _rendered(p: PolyXY) -> tuple[list[dict], str]:
+    """``poly_json(p)`` and ``str(p)``, one decimal conversion per integer."""
+    rows = poly_json(p)
+    return rows, format_terms([((r["x"], r["y"]), r["coeff"]) for r in rows])
 
 
 def data_json(data: FixedPointData) -> dict:
-    return {
-        "n": data.n,
-        "points": [
-            {"weights": list(p.weights), "sign": p.sign} for p in data.points
-        ],
-    }
+    points = [{"weights": list(p.weights), "sign": p.sign} for p in data.points]
+    return {"n": data.n, "points": points}
 
 
 def proof_json(trace: ProofTrace) -> dict:
@@ -274,7 +273,7 @@ def run_verify(args) -> int:
     data = document_data(doc)
     report = is_rigid(data)
     # a rigid datum's constant is its AH constant: render that once
-    ah_json, ah_pretty = poly_json(report.ah_constant), str(report.ah_constant)
+    ah_json, ah_pretty = _rendered(report.ah_constant)
     out = {
         "command": "verify",
         "n": data.n,
@@ -336,13 +335,13 @@ def run_series(args) -> int:
     data = document_data(doc)
     genus = document_genus(doc, args.genus)
     order = document_order(doc, args.order, data.n)
-    series = genus_series(data, genus, order)
+    series = genus_series(data, genus, order, sys.get_int_max_str_digits())
     constant = series_is_constant(series)
     rows = []
     for k in range(series.lowest, series.order):
-        c = series.coeff(k)
         try:
-            rows.append({"exp": k, "coeff": poly_json(c), "pretty": str(c)})
+            coeff, pretty = _rendered(series.coeff(k))
+            rows.append({"exp": k, "coeff": coeff, "pretty": pretty})
         except ValueError:
             # str() refuses ints longer than the interpreter's digit limit
             raise InputError(
@@ -363,8 +362,9 @@ def run_series(args) -> int:
         "order": order,
         "expansion_variable": "(x+y)*u" if genus.symbolic else "u",
         "coefficients": rows,
-        "constant": poly_json(constant) if constant is not None else None,
-        "constant_pretty": str(constant) if constant is not None else None,
+        # a constant series's constant is its u^0 row
+        "constant": None if constant is None else rows[-series.lowest]["coeff"],
+        "constant_pretty": None if constant is None else rows[-series.lowest]["pretty"],
         "verdict": "constant" if constant is not None else "not-constant",
         "cross_check": cross,
     }
@@ -399,16 +399,19 @@ def _parse_sign_patterns(text: str, m: int):
 
 def result_json(result: SearchResult) -> dict:
     family = result.family
+    constant, pretty = _rendered(result.report.ah_constant)
     return {
         "type": "result",
         **data_json(result.data),
-        "family": None
-        if family is None
-        else {"kind": family.kind, "params": list(family.params)},
-        "constant": poly_json(result.report.ah_constant),
-        "constant_pretty": str(result.report.ah_constant),
+        "family": None if family is None else {"kind": family.kind, "params": list(family.params)},
+        "constant": constant,
+        "constant_pretty": pretty,
         "weight_gcd": result.report.weight_gcd,
     }
+
+
+# one encoder for all search lines (json.dumps builds one per call); no cycles
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def run_search(args) -> int:
@@ -439,10 +442,10 @@ def run_search(args) -> int:
         },
     }
     if args.format == "json":
-        for result in outcome.results:
-            print(json.dumps(result_json(result), sort_keys=True))
-        print(json.dumps(summary, sort_keys=True))
+        lines = [_encode(result_json(result)) for result in outcome.results]
+        last = _encode(summary)
     else:
+        lines = []
         for result in outcome.results:
             family = result.family
             tag = f"{family.kind}{list(family.params)}" if family else "-"
@@ -450,11 +453,14 @@ def run_search(args) -> int:
                 f"({','.join(map(str, p.weights))};{'+' if p.sign > 0 else '-'})"
                 for p in result.data.points
             )
-            print(f"{tag:<16} {points}  constant {result.report.ah_constant}")
+            lines.append(f"{tag:<16} {points}  constant {result.report.ah_constant}")
         s = outcome.summary
-        print(
-            f"candidates {s.candidates}  pruned {s.pruned}  checked {s.checked}  rigid {s.rigid}"
-        )
+        last = f"candidates {s.candidates}  pruned {s.pruned}  checked {s.checked}  rigid {s.rigid}"
+    # the summary is a second write: unbuffered, a write that a closed
+    # reader cuts short raises nothing, but the next one does (exit 141)
+    lines.append("")
+    sys.stdout.write("\n".join(lines))
+    sys.stdout.write(last + "\n")
     return 0
 
 

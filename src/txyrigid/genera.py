@@ -107,6 +107,22 @@ class FixedPointData:
                     f"every point needs exactly {self.n} weights, got {len(p.weights)}"
                 )
 
+    @classmethod
+    def _from_canonical(cls, n: int, key) -> "FixedPointData":
+        """Data from (sign, weights) pairs already known valid, as the search's
+        keys are; skips the checks of both public constructors."""
+        put = object.__setattr__  # reading __dict__ would build one per object
+        points = []
+        for sign, weights in key:
+            point = object.__new__(FixedPoint)
+            put(point, "weights", weights)
+            put(point, "sign", sign)
+            points.append(point)
+        data = object.__new__(cls)
+        put(data, "n", n)
+        put(data, "points", tuple(points))
+        return data
+
     @property
     def m(self) -> int:
         return len(self.points)
@@ -138,7 +154,7 @@ def _ah_coefficients(data: FixedPointData) -> list[int]:
     n = data.n
     coeffs = [0] * (n + 1)
     for p in data.points:
-        plus = sum(1 for w in p.weights if w > 0)
+        plus = sum(map((0).__lt__, p.weights))  # w > 0, counted in C
         coeffs[plus] += p.sign if (n - plus) % 2 == 0 else -p.sign
     return coeffs
 
@@ -152,7 +168,7 @@ def _limits_cancel(n: int, coeffs: list[int]) -> bool:
     # sign * x^(n-i) (-y)^i, so the swapped sum has coefficient
     # (-1)^n * coeffs[n - i] at x^i y^(n-i)
     flip = -1 if n % 2 else 1
-    return all(c == flip * coeffs[n - i] for i, c in enumerate(coeffs))
+    return coeffs == [flip * c for c in reversed(coeffs)]
 
 
 def ah_constant(data: FixedPointData) -> PolyXY:
@@ -170,14 +186,14 @@ def limit_symmetry(data: FixedPointData) -> bool:
 
 def weight_gcd(data: FixedPointData) -> int:
     """gcd of all weight magnitudes; 1 means the data is effective."""
-    return gcd(*(w for p in data.points for w in p.weights))
+    return gcd(*[gcd(*p.weights) for p in data.points])
 
 
 def _shared_factors(magnitudes: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """The least common multiset of the points' sorted weight magnitudes,
     and what each point lacks of it; paired data lack nothing."""
     first = magnitudes[0]
-    if all(mine == first for mine in magnitudes):
+    if magnitudes.count(first) == len(magnitudes):
         return first, [[]] * len(magnitudes)
     most: dict[int, int] = {}
     for mine in magnitudes:
@@ -337,9 +353,10 @@ def _sparse_defect(
     return total
 
 
-def rigidity_defect(data: FixedPointData) -> PackedDefect:
+def rigidity_defect(data: FixedPointData, coeffs: Optional[list[int]] = None) -> PackedDefect:
     """Numerator minus constant times expanded denominator, at y = 1; the
-    data is rigid exactly when this Laurent polynomial is zero.
+    data is rigid exactly when this Laurent polynomial is zero.  ``coeffs``
+    is ``_ah_coefficients(data)`` when the caller already has it.
 
     The points are put over the least common multiset of their (z^a - 1)
     factors, so every product is a chain of binomials in z.  Before
@@ -381,7 +398,7 @@ def rigidity_defect(data: FixedPointData) -> PackedDefect:
             f"defect work estimate {estimate} coefficient products exceeds"
             f" the bound {MAX_DEFECT_WORK}"
         )
-    coeffs = _ah_coefficients(data)
+    coeffs = _ah_coefficients(data) if coeffs is None else coeffs
     bits = -(-(len(shared) + (data.m + 1).bit_length() + 2) // 8) * 8
     slot = (n + 1) * bits
     if (degree + 1) * slot <= MAX_DENSE_BITS:
@@ -390,9 +407,9 @@ def rigidity_defect(data: FixedPointData) -> PackedDefect:
 
 
 def is_rigid(data: FixedPointData) -> GenusReport:
-    defect = rigidity_defect(data)
-    rigid = defect.is_zero()
     coeffs = _ah_coefficients(data)
+    defect = rigidity_defect(data, coeffs)
+    rigid = defect.is_zero()
     constant = _ah_poly(data.n, coeffs)
     return GenusReport(
         rigid=rigid,

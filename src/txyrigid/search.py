@@ -12,10 +12,18 @@ sorted point multisets minimal under negation, filtered by sign multiset
 (a sign pattern stands for its sorted tuple) and, when asked, by weight
 gcd.  ``prune`` is the public filter of proved necessary conditions:
 weight-magnitude pairing (two points only), limit symmetry, and the
-vanishing of the series coefficient at the lowest exponent, which for
-weights w_{ij} and signs e_i is sum_i e_i / prod_j w_{ij} = 0.  The
-search does not run it: the exact z-domain check runs on every key the
-evaluation join reaches, and those are almost all rigid.
+vanishing of the series coefficient at the lowest exponent,
+sum_i e_i / prod_j w_{ij} = 0.  The search does not run it: the exact
+z-domain check runs on every key the evaluation join reaches.
+
+The point table needs no sort.  combinations_with_replacement over the
+pool W, .., 1, -1, .., -W yields nonincreasing weight tuples, as keys
+hold them, in lexicographic order of pool positions; positions descend
+in value, so where two tuples first differ the earlier is larger, and the
+reversed stream ascends.  Points order by (sign, weights): the table is
+the sign -1 block, then the sign +1 block, over that one list.  Negation
+keeps the sign and maps w to -reversed(w), so one negation index over the
+tuples serves both blocks.
 
 The join reaches only the keys that pass one necessary condition, the
 evaluation invariant.  Give each point (e, w) the residue
@@ -31,19 +39,18 @@ is a ring map on the rationals whose denominators are units mod P, and
 each 3^a - 1 is a unit because the order of 3 mod P,
 256,204,778,801,521,550, is far above every weight the search guard
 admits.  The invariant only rejects; the exact check decides every rigid
-verdict.
+verdict.  f(-1, w) = -f(1, w), so one residue per weight tuple serves
+both signs.
 
 Because f is additive, the search joins instead of walking: for each
 prefix of m - 1 points it takes the last point from the hash bucket of
-the residue that makes the sum 0.  The candidate count is still the
-number of all classes in range, so
-``candidates == len(list(enumerate_data(params)))`` holds and ``pruned``
-is the classes the join skipped; it comes in closed form.  Negation
-keeps each point's sign, so Burnside's lemma gives (|X_k| + |Fix_k|) / 2
-classes with k points of sign +, summed over the allowed k.  Dividing
-every weight by g maps the classes of weight gcd g onto the effective
-classes at bound floor(W / g), so the effective count is, by
-inclusion-exclusion over the common divisor,
+the residue that makes the sum 0.  ``candidates`` counts every class in
+range, ``len(list(enumerate_data(params)))``, in closed form, and
+``pruned`` the classes the join skipped.  Negation keeps each point's
+sign, so Burnside's lemma gives (|X_k| + |Fix_k|) / 2 classes with k
+points of sign +, summed over the allowed k.  Dividing every weight by g
+maps the classes of weight gcd g onto the effective classes at bound
+floor(W / g), so by inclusion-exclusion over the common divisor
 
     E(W) = C(W) - sum_{g >= 2} E(floor(W / g)).
 """
@@ -54,12 +61,13 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress, repeat
 from math import comb, gcd, prod
+from operator import itemgetter, neg
 from typing import Iterator, Optional
 
 from .classify import FamilyTag, classify_two_points, pairing_check
-from .genera import FixedPoint, FixedPointData, GenusReport, is_rigid, limit_symmetry
+from .genera import FixedPointData, GenusReport, is_rigid, limit_symmetry
 
 # Search work guard: SearchParams refuses bounds whose join work, P point
 # residues plus comb(P + m - 2, m - 1) prefix lookups for P points in
@@ -129,10 +137,6 @@ class SearchParams:
             )
 
 
-def _point_key(point: FixedPoint) -> PointKey:
-    return (point.sign, tuple(sorted(point.weights, reverse=True)))
-
-
 def _negate_point(point: PointKey) -> PointKey:
     """Negated weights, reversed so that they stay descending."""
     sign, weights = point
@@ -140,23 +144,25 @@ def _negate_point(point: PointKey) -> PointKey:
 
 
 def canonical_key(data: FixedPointData) -> DataKey:
-    base = tuple(sorted(_point_key(p) for p in data.points))
+    base = tuple(sorted((p.sign, tuple(sorted(p.weights, reverse=True))) for p in data.points))
     return min(base, tuple(sorted(map(_negate_point, base))))
 
 
 def _data_from_key(n: int, key: DataKey) -> FixedPointData:
-    return FixedPointData(n, tuple(FixedPoint(weights, sign) for sign, weights in key))
+    return FixedPointData._from_canonical(n, key)
 
 
-def _points(params: SearchParams) -> list[PointKey]:
-    """Every point key within the bound, sorted."""
+def _table(params: SearchParams) -> tuple[list[PointKey], list[int]]:
+    """The sorted point keys and each one's negation index (module docstring)."""
     bound = params.max_abs_weight
-    values = list(range(bound, 0, -1)) + list(range(-1, -bound - 1, -1))
-    return sorted(
-        (sign, weights)
-        for weights in combinations_with_replacement(values, params.n)
-        for sign in (1, -1)
-    )
+    values = [*range(bound, 0, -1), *range(-1, -bound - 1, -1)]
+    tuples = list(combinations_with_replacement(values, params.n))
+    tuples.reverse()
+    half = len(tuples)
+    index = {weights: i for i, weights in enumerate(tuples)}
+    negated = [index[tuple(map(neg, reversed(weights)))] for weights in tuples]
+    points = [(-1, weights) for weights in tuples] + [(1, weights) for weights in tuples]
+    return points, negated + [i + half for i in negated]
 
 
 def _sign_multisets(params: SearchParams) -> Optional[set[tuple[int, ...]]]:
@@ -177,68 +183,69 @@ def _ratios(bound: int) -> dict[int, int]:
     return ratios
 
 
-def _residue(point: PointKey, ratios: dict[int, int]) -> int:
-    """The point's evaluation residue f: its share of the genus sum at
-    (x, y, z) = (2, 1, 3) minus its Atiyah-Hirzebruch monomial, mod
-    MODULUS."""
-    sign, weights = point
-    value = sign
-    for w in weights:
-        value = value * ratios[w] % MODULUS
-    plus = sum(1 for w in weights if w > 0)
-    return (value - sign * 2**plus * (-1) ** (len(weights) - plus)) % MODULUS
+def _residues(points: list[PointKey], bound: int) -> list[int]:
+    """Each point's residue f: prod r(w) - prod (2 if w > 0 else -1) for the
+    sign +1 block, negated for the sign -1 block."""
+    ratios = _ratios(bound)
+    r, a = ratios.__getitem__, {w: 2 if w > 0 else -1 for w in ratios}.__getitem__
+    plus = [(prod(map(r, w)) - prod(map(a, w))) % MODULUS for _, w in points[len(points) // 2 :]]
+    return [-value % MODULUS for value in plus] + plus
 
 
-def _negations(points: list[PointKey]) -> list[int]:
-    """The index of each point's negation in the sorted point list.  The
-    lookup table lives only here, so it is freed before the join builds
-    its residues and buckets."""
-    index = {point: i for i, point in enumerate(points)}
-    return [index[_negate_point(point)] for point in points]
+def _indices(
+    total: int, m: int, shard: int, shards: int, residues: Optional[list[int]]
+) -> Iterator[tuple[int, ...]]:
+    """The nondecreasing m-tuples of point indices with first index = shard
+    mod shards, in lexicographic order; with ``residues`` just those whose
+    residues sum to 0 mod MODULUS.  A tuple is a stem, a pen and a last
+    index taken from the pen's candidates.  For m >= 3 the join walks a pen
+    only when a bucket holds the residue that completes the sum, a test
+    made in C for all the pens of a stem; for m = 2 every pen passes it."""
+    firsts = range(shard, total, shards)
+    if m == 1:
+        yield from ((i,) for i in firsts if residues is None or residues[i] == 0)
+        return
+    buckets: dict[int, list[int]] = {}
+    for i, value in enumerate(residues or ()):
+        buckets.setdefault(value, []).append(i)
+    stems = [()] if m == 2 else (
+        (first, *outer)
+        for first in firsts
+        for outer in combinations_with_replacement(range(first, total), m - 3)
+    )
+    for stem in stems:
+        pens = range(stem[-1], total) if stem else firsts
+        if residues is None:
+            hits = zip(pens, repeat(range(total)))  # the walk: every index from the pen on
+        elif stem:
+            base = -sum(map(residues.__getitem__, stem))
+            wanted = [(base - residues[pen]) % MODULUS for pen in pens]
+            hits = compress(zip(pens, map(buckets.get, wanted)), map(buckets.__contains__, wanted))
+        else:  # -f(e, w) = f(-e, w), half the table away: the point's sign flip
+            hits = ((pen, buckets[residues[pen - total // 2]]) for pen in pens)
+        for pen, lasts in hits:
+            yield from ((*stem, pen, last) for last in lasts[bisect_left(lasts, pen) :])
 
 
 def _enumerate_shard(
     params: SearchParams, shard: int, shards: int, _join: bool = False
 ) -> Iterator[DataKey]:
-    """The canonical keys whose first point has an index congruent to
-    ``shard`` modulo ``shards`` in the sorted point list, in order.  With
-    ``_join`` just the keys whose point residues sum to 0 mod MODULUS, in
-    the same order: the last point comes from the residue's hash bucket
-    instead of the rest of the point list."""
-    points = _points(params)
-    total = len(points)
-    negated = _negations(points)
+    """The canonical keys whose first point has an index = shard mod shards
+    in the point table, in order; with ``_join`` just those whose point
+    residues sum to 0 mod MODULUS."""
+    points, negated = _table(params)
     signs = _sign_multisets(params)
-    m = params.m
-    if _join:
-        ratios = _ratios(params.max_abs_weight)
-        residues = [_residue(point, ratios) for point in points]
-        buckets: dict[int, list[int]] = {}
-        for i, value in enumerate(residues):
-            buckets.setdefault(value, []).append(i)
-    for first in range(shard, total, shards):
-        # combinations_with_replacement copies its pool, which would cost
-        # O(P) per first point for the empty middles of m = 2
-        middles = combinations_with_replacement(range(first, total), m - 2) if m > 2 else [()]
-        for middle in middles:
-            prefix = (first, *middle)[: m - 1]  # a one-point key is its own last point
-            low, high = (prefix[-1], total) if prefix else (first, first + 1)
-            if _join:
-                bucket = buckets.get(-sum(map(residues.__getitem__, prefix)) % MODULUS, ())
-                lasts = bucket[bisect_left(bucket, low) : bisect_left(bucket, high)]
-            else:
-                lasts = range(low, high)
-            for last in lasts:
-                chosen = (*prefix, last)
-                # indices order like the keys they stand for
-                if tuple(sorted([negated[i] for i in chosen])) < chosen:
-                    continue
-                key = tuple(points[i] for i in chosen)
-                if signs is not None and tuple(sign for sign, _ in key) not in signs:
-                    continue
-                if params.require_effective and gcd(*(w for _, ws in key for w in ws)) != 1:
-                    continue
-                yield key
+    residues = _residues(points, params.max_abs_weight) if _join else None
+    for chosen in _indices(len(points), params.m, shard, shards, residues):
+        # indices order like the keys they stand for
+        if tuple(sorted([negated[i] for i in chosen])) < chosen:
+            continue
+        key = tuple(points[i] for i in chosen)
+        if signs is not None and tuple(sign for sign, _ in key) not in signs:
+            continue
+        if params.require_effective and gcd(*(w for _, ws in key for w in ws)) != 1:
+            continue
+        yield key
 
 
 def enumerate_data(params: SearchParams) -> Iterator[FixedPointData]:
@@ -333,7 +340,8 @@ class SearchOutcome:
 
 
 def _search_shard(args) -> tuple[list, int]:
-    """One shard's rigid results and the number of join keys it checked."""
+    """One shard's rigid results, each with its key, and the number of join
+    keys it checked."""
     params, shard, shards = args
     results, checked = [], 0
     for key in _enumerate_shard(params, shard, shards, True):
@@ -342,7 +350,7 @@ def _search_shard(args) -> tuple[list, int]:
         report = is_rigid(data)
         if report.rigid:
             family = classify_two_points(data) if data.m == 2 else None
-            results.append(SearchResult(data, report, family))
+            results.append((key, SearchResult(data, report, family)))
     return results, checked
 
 
@@ -364,10 +372,7 @@ def search_rigid(params: SearchParams, jobs: int = 1) -> SearchOutcome:
 
         with ProcessPoolExecutor(max_workers=shards) as pool:
             outputs = list(pool.map(_search_shard, tasks))
-    results, checked = [], 0
-    for shard_results, shard_checked in outputs:
-        results.extend(shard_results)
-        checked += shard_checked
-    results.sort(key=lambda r: tuple(_point_key(p) for p in r.data.points))
-    summary = SearchSummary(_count_classes(params), checked, len(results))
-    return SearchOutcome(tuple(results), summary)
+    keyed = sorted((r for shard_results, _ in outputs for r in shard_results), key=itemgetter(0))
+    results = tuple(result for _, result in keyed)
+    summary = SearchSummary(_count_classes(params), sum(c for _, c in outputs), len(results))
+    return SearchOutcome(results, summary)

@@ -68,9 +68,8 @@ MAX_SERIES_WORK = 1 << 20
 # expansion (_size_estimate) exceeds this.  Two points at n = 2, order 200,
 # with weights (+-a, a + 2): a = 10^20 (13,733 bits) is admitted and takes
 # 0.7 s; a = 10^30 (20,500 bits), 10^300 and 10^3000 are refused in
-# milliseconds, where the expansion takes 1 s, 25 s and over 5 minutes and
-# its report would print integers of more than 4,300 digits (about 14,300
-# bits), past the interpreter's default limit for int-to-str conversion.
+# milliseconds, where the expansion takes 1 s, 25 s and over 5 minutes.
+# The CLI's max_digits (the int-to-str limit) refuses a = 10^20 there too.
 MAX_SERIES_BITS = 1 << 14
 
 
@@ -198,7 +197,7 @@ def _size_estimate(n: int, length: int, weights, common: int, genus: GenusSeries
     MAX_SERIES_BITS, because the lcm of many large denominators is itself
     slow; an estimate over the bound may therefore stop short.  The
     Bernoulli coefficients of TXY and Todd add a size fixed by the order
-    (about 1,300 bits at order 200), which is left out."""
+    (about 1,300 bits at order 200), left to genus_series's allowance."""
     bits = (length - 1) * max(abs(w) for w in weights).bit_length() + n * common.bit_length()
     if genus.regular_coeffs is not None:
         denominator, numerator_bits = 1, 0
@@ -211,7 +210,9 @@ def _size_estimate(n: int, length: int, weights, common: int, genus: GenusSeries
     return bits
 
 
-def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> SeriesU:
+def genus_series(
+    data: FixedPointData, genus: GenusSeries, order: int, max_digits: int = 0
+) -> SeriesU:
     """The candidate's equivariant genus as a truncated series: the signed
     sum over fixed points of the product of weight factors.  Retains
     exponents from -n up to order - 1.
@@ -231,7 +232,8 @@ def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> Series
     and the assembly is smaller still, so m * n(n + 1) * work^2 bounds the
     coefficient products; it may not exceed MAX_SERIES_WORK.  The bits
     those products carry, as _size_estimate bounds them, may not exceed
-    MAX_SERIES_BITS."""
+    MAX_SERIES_BITS.  A nonzero ``max_digits`` adds a third: the estimate plus
+    bits((length - 1)!) for the Bernoulli coefficients may not pass that many digits."""
     n = data.n
     if order < n + 1:
         raise ValueError("order must be at least n + 1")
@@ -250,6 +252,14 @@ def genus_series(data: FixedPointData, genus: GenusSeries, order: int) -> Series
         raise ValueError(
             f"series size estimate {bits} bits per coefficient exceeds"
             f" the bound {MAX_SERIES_BITS}"
+        )
+    allowance = 0 if genus.regular_coeffs is not None else factorial(length - 1).bit_length()
+    limit = (max_digits - 1) * 100000 // 30103  # b bits: < b * 0.30103 + 1 digits
+    if max_digits and bits + allowance > limit:
+        raise ValueError(
+            f"series size estimate {bits} bits plus {allowance} for the Bernoulli coefficients"
+            f" exceeds {limit} bits, the interpreter's limit of {max_digits} digits for"
+            " integer strings"
         )
     if genus.symbolic:
         numerators, denominator = _g_regular(length)

@@ -8,7 +8,7 @@ from operator import or_
 from txyrigid import FixedPoint, FixedPointData
 from txyrigid.algebra import LaurentZ
 from txyrigid.genera import ah_constant, rigidity_defect
-from txyrigid.search import MODULUS, _enumerate_shard, _ratios, _residue
+from txyrigid.search import MODULUS, _enumerate_shard, _ratios
 
 try:
     from hypothesis import configuration, settings
@@ -72,10 +72,18 @@ def paired_keys(params):
 
 
 def residue_sum(data: FixedPointData) -> int:
-    """The sum of the points' evaluation residues mod the search's prime;
-    0 for every rigid datum."""
+    """The sum of the points' evaluation residues mod the search's prime,
+    each point's share of the genus sum at (x, y, z) = (2, 1, 3) minus its
+    Atiyah-Hirzebruch monomial, one weight at a time; 0 for every rigid
+    datum."""
     ratios = _ratios(max(abs(w) for p in data.points for w in p.weights))
-    return sum(_residue((p.sign, p.weights), ratios) for p in data.points) % MODULUS
+    total = 0
+    for p in data.points:
+        value = p.sign
+        for w in p.weights:
+            value = value * ratios[w] % MODULUS
+        total += value - p.sign * 2**p.s_plus * (-1) ** p.s_minus
+    return total % MODULUS
 
 
 def reference_defect(data: FixedPointData) -> LaurentZ:

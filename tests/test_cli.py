@@ -171,7 +171,32 @@ def test_series_size_guard_exits_two_fast(capsys, monkeypatch):
 
 def test_series_past_the_print_limit_names_the_coefficient(capsys, monkeypatch):
     # admitted by the size guard, but the u^195 coefficient has an integer
-    # longer than the interpreter prints by default
+    # longer than the interpreter prints by default: refused before the
+    # 0.7 s expansion, by the estimate plus the Bernoulli allowance
+    a = 10**21 + 7
+    doc = document(2, [((a, a + 2), 1), ((-a, a + 2), 1)], order=200)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, ["series", "-"], stdin=doc, monkeypatch=monkeypatch)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert elapsed < 0.1
+    assert status == 2 and out == ""
+    assert err == (
+        "error: series size estimate 14350 bits plus 1254 for the Bernoulli coefficients"
+        " exceeds 14280 bits, the interpreter's limit of 4300 digits for integer strings\n"
+    )
+
+
+def test_series_print_backstop_names_the_coefficient(capsys, monkeypatch):
+    # with the up-front estimate forced to 0, the report's own conversion
+    # still fails cleanly and names the coefficient
+    from txyrigid import series
+
+    monkeypatch.setattr(series, "_size_estimate", lambda *args: 0)
     a = 10**21 + 7
     doc = document(2, [((a, a + 2), 1), ((-a, a + 2), 1)], order=200)
     limit = sys.get_int_max_str_digits()
@@ -185,6 +210,19 @@ def test_series_past_the_print_limit_names_the_coefficient(capsys, monkeypatch):
         "error: series: the u^195 coefficient has an integer of more than 4300 digits,"
         " the interpreter's limit for integer strings\n"
     )
+
+
+def test_series_print_limit_off_admits_the_report(capsys, monkeypatch):
+    # a limit of 0 means no limit: 10^20 at order 200 runs and prints
+    a = 10**20 + 7
+    doc = document(2, [((a, a + 2), 1), ((-a, a + 2), 1)], order=200)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        status, out, _ = run_cli(capsys, ["series", "-"], stdin=doc, monkeypatch=monkeypatch)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert status in (0, 1) and json.loads(out)["command"] == "series"
 
 
 def test_verify_malformed_json_reports_position(capsys, monkeypatch):
@@ -463,10 +501,11 @@ PINNED_SEARCH = os.path.join(
 @pytest.mark.parametrize(
     "call",
     [
-        *(f"search --m 2 --max-weight 5 --n {n} --signs all --jobs 1" for n in (1, 2, 3)),
+        *(f"search --m 2 --max-weight 5 --n {n} --signs all --jobs 1" for n in (1, 2, 3, 4)),
         "search --m 3 --n 2 --max-weight 4",
         "search --m 2 --n 3 --max-weight 5 --signs ++,+-",
         "search --m 2 --max-weight 3 --n 5 --jobs 2",
+        "search --m 2 --max-weight 3 --n 6 --jobs 2",
     ],
 )
 def test_search_matches_pinned_outputs(capsys, call):

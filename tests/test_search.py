@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -14,6 +15,9 @@ from txyrigid.search import (
     _count_classes,
     _data_from_key,
     _enumerate_shard,
+    _negate_point,
+    _residues,
+    _table,
     canonical_key,
     enumerate_data,
     prune,
@@ -43,6 +47,50 @@ def test_canonical_key_invariance():
         data = random_data(rng, max_abs=4)
         other = permuted_negated_copy(rng, data)
         assert canonical_key(data) == canonical_key(other)
+
+
+# -- the point table ------------------------------------------------------------
+
+
+def sorted_points(n, bound):
+    """The point keys built directly: every sign with every descending
+    weight tuple, then sorted."""
+    values = list(range(bound, 0, -1)) + list(range(-1, -bound - 1, -1))
+    return sorted(
+        (sign, weights)
+        for weights in combinations_with_replacement(values, n)
+        for sign in (1, -1)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_point_table_is_the_sorted_construction(n):
+    for bound in range(1, 6):
+        points, negated = _table(SearchParams(n, 2, bound))
+        assert points == sorted_points(n, bound)
+        # the negation table is an involution that agrees with _negate_point
+        assert all(negated[negated[i]] == i for i in range(len(points)))
+        assert [points[j] for j in negated] == [_negate_point(p) for p in points]
+        # one residue per weight tuple, negated for sign -1, is each point's own
+        residues = _residues(points, bound)
+        assert residues == [
+            residue_sum(FixedPointData(n, (FixedPoint(w, s),))) for s, w in points
+        ]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [*(SearchParams(n, 2, 5) for n in (1, 2, 3, 4)), SearchParams(2, 3, 4)],
+)
+def test_trusted_construction_matches_the_validated_one(params):
+    keys = list(_enumerate_shard(params, 0, 1, True))
+    assert keys
+    for key in keys:
+        trusted = _data_from_key(params.n, key)
+        validated = FixedPointData(params.n, tuple(FixedPoint(w, s) for s, w in key))
+        assert trusted == validated and hash(trusted) == hash(validated)
+        assert type(trusted.points) is tuple
+        assert all(type(p.weights) is tuple and type(p.sign) is int for p in trusted.points)
 
 
 # -- enumeration ----------------------------------------------------------------
