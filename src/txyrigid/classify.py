@@ -26,6 +26,7 @@ defect but whether it is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Sequence
 
 from .genera import FixedPoint, FixedPointData, rigidity_defect
@@ -48,11 +49,20 @@ NOT_RIGID = FamilyTag("NotRigid")
 RIGID_UNCLASSIFIED = FamilyTag("RigidUnclassified")
 
 
+def _positive(*values: int) -> tuple[int, ...]:
+    """The family parameters as ints, refusing non-integers and values below 1."""
+    try:
+        values = tuple(map(index, values))
+    except TypeError:
+        raise ValueError("family parameters must be integers") from None
+    if min(values) <= 0:
+        raise ValueError("family parameters must be positive")
+    return values
+
+
 def make_z(weights: Sequence[int]) -> FixedPointData:
     """Family Z data: two points with identical weights and opposite signs."""
-    weights = tuple(int(w) for w in weights)
-    if not weights or any(w == 0 for w in weights):
-        raise ValueError("family Z needs a nonempty list of nonzero weights")
+    weights = tuple(weights)
     return FixedPointData(
         len(weights), (FixedPoint(weights, 1), FixedPoint(weights, -1))
     )
@@ -60,17 +70,13 @@ def make_z(weights: Sequence[int]) -> FixedPointData:
 
 def make_l1(a: int) -> FixedPointData:
     """Family L1 data: n = 1, weights (a) and (-a), equal signs."""
-    a = int(a)
-    if a <= 0:
-        raise ValueError("family L1 needs a positive weight")
+    (a,) = _positive(a)
     return FixedPointData(1, (FixedPoint((a,), 1), FixedPoint((-a,), 1)))
 
 
 def make_s3(a: int, b: int) -> FixedPointData:
     """Family S3 data: n = 3, weights (a, b, -(a+b)) and (-a, -b, a+b)."""
-    a, b = int(a), int(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("family S3 needs two positive weights")
+    a, b = _positive(a, b)
     return FixedPointData(
         3,
         (FixedPoint((a, b, -(a + b)), 1), FixedPoint((-a, -b, a + b), 1)),

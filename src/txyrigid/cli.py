@@ -41,6 +41,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Optional
 
 from .algebra import PolyXY, format_terms
@@ -56,6 +57,8 @@ MAX_ORDER = 200
 # decimal strings: ASCII digits only, so no '_' separators or other scripts
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _FRACTION = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# one encoder for every report (json.dumps builds one per call); no cycles
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 class InputError(Exception):
@@ -82,13 +85,6 @@ def _int_flag(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
     return int(text)
-
-
-def _parse_sign(value: Any, where: str) -> int:
-    sign = _parse_int(value, where)
-    if sign not in (1, -1):
-        raise InputError(f"{where}: sign must be +1 or -1, got {sign}")
-    return sign
 
 
 def _parse_fraction(value: Any, where: str) -> Fraction:
@@ -155,12 +151,11 @@ def document_data(doc: dict) -> FixedPointData:
             raise InputError(f"{where}.weights[{weights.index(0)}]: weights must be nonzero")
         if len(weights) != n:
             raise InputError(f"{where}.weights: expected {n} weights, got {len(weights)}")
-        sign = _parse_sign(entry.get("sign", None), f"{where}.sign")
+        sign = _parse_int(entry.get("sign", None), f"{where}.sign")
+        if sign not in (1, -1):
+            raise InputError(f"{where}.sign: sign must be +1 or -1, got {sign}")
         points.append(FixedPoint(tuple(weights), sign))
-    try:
-        return FixedPointData(n, tuple(points))
-    except ValueError as err:
-        raise InputError(f"input: {err}") from None
+    return FixedPointData(n, tuple(points))
 
 
 def document_genus(doc: dict, override: Optional[str]) -> GenusSeries:
@@ -224,35 +219,18 @@ def data_json(data: FixedPointData) -> dict:
 
 
 def proof_json(trace: ProofTrace) -> dict:
-    return {
-        "paired": trace.paired,
-        "negation_pairing": trace.negation_pairing,
-        "max_weight_tie": trace.max_weight_tie,
-        "n1_shortcut": trace.n1_shortcut,
-        "k": trace.k,
-        "l": trace.l,
-        "a_values": list(trace.a_values),
-        "b_values": list(trace.b_values),
-        "balance_holds": trace.balance_holds,
-        "max_rule_holds": trace.max_rule_holds,
-        "final_form": None
-        if trace.final_form is None
-        else {
-            "k": trace.final_form[0],
-            "l": trace.final_form[1],
-            "max_is_pair_sum": trace.final_form[2],
-        },
-    }
+    form = trace.final_form and dict(zip(("k", "l", "max_is_pair_sum"), trace.final_form))
+    return {**vars(trace), "final_form": form}
 
 
-def emit(report: dict, fmt: str, table) -> None:
-    """Print the report as one JSON line, or the lines table() yields;
-    only the table format builds them."""
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in table():
-            print(line)
+def emit(fmt: str, reports, table) -> None:
+    """Write each of ``reports`` as one JSON line, or the lines table()
+    yields; only the chosen format's lines are built.  The final newline
+    is a second write: unbuffered, a write that a closed reader cuts short
+    raises nothing, but the next one does (exit 141)."""
+    lines = map(_encode, reports) if fmt == "json" else table()
+    sys.stdout.write("\n".join(lines))
+    sys.stdout.write("\n")
 
 
 def _read_input(path: str) -> str:
@@ -296,7 +274,7 @@ def run_verify(args) -> int:
         yield f"limits symmetric {report.limits_symmetric}"
         yield f"weight gcd       {report.weight_gcd}"
 
-    emit(out, args.format, table)
+    emit(args.format, [out], table)
     return 0 if report.rigid else 1
 
 
@@ -326,7 +304,7 @@ def run_classify(args) -> int:
                 f" final={trace.final_form}"
             )
 
-    emit(out, args.format, table)
+    emit(args.format, [out], table)
     return 0 if rigid else 1
 
 
@@ -377,7 +355,7 @@ def run_series(args) -> int:
         if cross is not None:
             yield f"cross-check {cross}"
 
-    emit(out, args.format, table)
+    emit(args.format, [out], table)
     return 0 if constant is not None else 1
 
 
@@ -410,10 +388,6 @@ def result_json(result: SearchResult) -> dict:
     }
 
 
-# one encoder for all search lines (json.dumps builds one per call); no cycles
-_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-
-
 def run_search(args) -> int:
     patterns = _parse_sign_patterns(args.signs, args.m)
     try:
@@ -441,11 +415,8 @@ def run_search(args) -> int:
             "effective_only": params.require_effective,
         },
     }
-    if args.format == "json":
-        lines = [_encode(result_json(result)) for result in outcome.results]
-        last = _encode(summary)
-    else:
-        lines = []
+
+    def table():
         for result in outcome.results:
             family = result.family
             tag = f"{family.kind}{list(family.params)}" if family else "-"
@@ -453,14 +424,11 @@ def run_search(args) -> int:
                 f"({','.join(map(str, p.weights))};{'+' if p.sign > 0 else '-'})"
                 for p in result.data.points
             )
-            lines.append(f"{tag:<16} {points}  constant {result.report.ah_constant}")
+            yield f"{tag:<16} {points}  constant {result.report.ah_constant}"
         s = outcome.summary
-        last = f"candidates {s.candidates}  pruned {s.pruned}  checked {s.checked}  rigid {s.rigid}"
-    # the summary is a second write: unbuffered, a write that a closed
-    # reader cuts short raises nothing, but the next one does (exit 141)
-    lines.append("")
-    sys.stdout.write("\n".join(lines))
-    sys.stdout.write(last + "\n")
+        yield f"candidates {s.candidates}  pruned {s.pruned}  checked {s.checked}  rigid {s.rigid}"
+
+    emit(args.format, chain(map(result_json, outcome.results), [summary]), table)
     return 0
 
 
@@ -470,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rigidity checker and search for circle-action fixed-point data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> the command's own parser
 
     def add_io(p):
         p.add_argument("input", nargs="?", default="-", help="JSON document path or '-' for stdin")
@@ -514,10 +483,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     # a named command is parsed by its own parser, the one the subparsers
     # action would hand it to; anything else goes through the full parser
-    commands = next(
-        a.choices for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    command = commands.get(argv[0]) if argv else None
+    command = _PARSER.commands.get(argv[0]) if argv else None
     try:
         if command is not None:
             args = command.parse_args(argv[1:])
@@ -528,10 +494,7 @@ def main(argv=None) -> int:
         return int(err.code) if err.code else 0
     try:
         return args.handler(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (InputError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress, repeat
 from math import comb, gcd, prod
-from operator import itemgetter, neg
+from operator import index, itemgetter, neg
 from typing import Iterator, Optional
 
 from .classify import FamilyTag, classify_two_points, pairing_check
@@ -116,16 +116,22 @@ class SearchParams:
     require_effective: bool = False
 
     def __post_init__(self):
+        patterns = self.sign_patterns
+        try:
+            bounds = tuple(map(index, (self.n, self.m, self.max_abs_weight)))
+            if patterns is not None:
+                patterns = tuple(tuple(map(index, p)) for p in patterns)
+        except TypeError:
+            raise ValueError("the bounds and sign entries must be integers") from None
+        for name, value in zip(("n", "m", "max_abs_weight", "sign_patterns"), (*bounds, patterns)):
+            object.__setattr__(self, name, value)
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive")
         if self.max_abs_weight < 0:
             raise ValueError("max_abs_weight must be nonnegative")
-        if self.sign_patterns is not None:
-            patterns = tuple(tuple(int(s) for s in p) for p in self.sign_patterns)
-            for p in patterns:
-                if len(p) != self.m or any(s not in (1, -1) for s in p):
-                    raise ValueError("each sign pattern needs m entries of +1/-1")
-            object.__setattr__(self, "sign_patterns", patterns)
+        for p in patterns or ():
+            if len(p) != self.m or any(s not in (1, -1) for s in p):
+                raise ValueError("each sign pattern needs m entries of +1/-1")
         cap = MAX_SEARCH_WORK
         points = 2 * _capped_comb(2 * self.max_abs_weight + self.n - 1, self.n, cap)
         work = points + _capped_comb(points + self.m - 2, self.m - 1, cap)
@@ -148,10 +154,6 @@ def canonical_key(data: FixedPointData) -> DataKey:
     return min(base, tuple(sorted(map(_negate_point, base))))
 
 
-def _data_from_key(n: int, key: DataKey) -> FixedPointData:
-    return FixedPointData._from_canonical(n, key)
-
-
 def _table(params: SearchParams) -> tuple[list[PointKey], list[int]]:
     """The sorted point keys and each one's negation index (module docstring)."""
     bound = params.max_abs_weight
@@ -159,8 +161,8 @@ def _table(params: SearchParams) -> tuple[list[PointKey], list[int]]:
     tuples = list(combinations_with_replacement(values, params.n))
     tuples.reverse()
     half = len(tuples)
-    index = {weights: i for i, weights in enumerate(tuples)}
-    negated = [index[tuple(map(neg, reversed(weights)))] for weights in tuples]
+    position = {weights: i for i, weights in enumerate(tuples)}
+    negated = [position[tuple(map(neg, reversed(weights)))] for weights in tuples]
     points = [(-1, weights) for weights in tuples] + [(1, weights) for weights in tuples]
     return points, negated + [i + half for i in negated]
 
@@ -198,9 +200,9 @@ def _indices(
     """The nondecreasing m-tuples of point indices with first index = shard
     mod shards, in lexicographic order; with ``residues`` just those whose
     residues sum to 0 mod MODULUS.  A tuple is a stem, a pen and a last
-    index taken from the pen's candidates.  For m >= 3 the join walks a pen
-    only when a bucket holds the residue that completes the sum, a test
-    made in C for all the pens of a stem; for m = 2 every pen passes it."""
+    index taken from the pen's candidates.  The join walks a pen only when
+    a bucket holds the residue that completes the sum, a test made in C for
+    all the pens of a stem; for m = 2 every pen passes it (its sign flip)."""
     firsts = range(shard, total, shards)
     if m == 1:
         yield from ((i,) for i in firsts if residues is None or residues[i] == 0)
@@ -217,12 +219,10 @@ def _indices(
         pens = range(stem[-1], total) if stem else firsts
         if residues is None:
             hits = zip(pens, repeat(range(total)))  # the walk: every index from the pen on
-        elif stem:
+        else:
             base = -sum(map(residues.__getitem__, stem))
             wanted = [(base - residues[pen]) % MODULUS for pen in pens]
             hits = compress(zip(pens, map(buckets.get, wanted)), map(buckets.__contains__, wanted))
-        else:  # -f(e, w) = f(-e, w), half the table away: the point's sign flip
-            hits = ((pen, buckets[residues[pen - total // 2]]) for pen in pens)
         for pen, lasts in hits:
             yield from ((*stem, pen, last) for last in lasts[bisect_left(lasts, pen) :])
 
@@ -250,7 +250,7 @@ def _enumerate_shard(
 
 def enumerate_data(params: SearchParams) -> Iterator[FixedPointData]:
     """Deterministic candidate stream, one datum per canonical class."""
-    return (_data_from_key(params.n, key) for key in _enumerate_shard(params, 0, 1))
+    return (FixedPointData._from_canonical(params.n, key) for key in _enumerate_shard(params, 0, 1))
 
 
 def _multisets(items: int, size: int) -> int:
@@ -346,7 +346,7 @@ def _search_shard(args) -> tuple[list, int]:
     results, checked = [], 0
     for key in _enumerate_shard(params, shard, shards, True):
         checked += 1
-        data = _data_from_key(params.n, key)
+        data = FixedPointData._from_canonical(params.n, key)
         report = is_rigid(data)
         if report.rigid:
             family = classify_two_points(data) if data.m == 2 else None

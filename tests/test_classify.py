@@ -20,7 +20,7 @@ from txyrigid.classify import (
 )
 from txyrigid.cli import main
 from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, rigidity_defect
-from txyrigid.search import SearchParams, _data_from_key, enumerate_data
+from txyrigid.search import SearchParams, enumerate_data
 
 X = PolyXY.x()
 Y = PolyXY.y()
@@ -64,6 +64,24 @@ def test_make_s3():
     assert data.points[1].weights == (-2, -3, 5)
     with pytest.raises(ValueError):
         make_s3(1, 0)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (make_z, ((1.5, -2.7),)),
+        (make_z, (("1", "2"),)),
+        (make_z, ("12",)),
+        (make_l1, (2.5,)),
+        (make_l1, ("3",)),
+        (make_s3, (1.9, 2.2)),
+        (make_s3, (1, "2")),
+    ],
+)
+def test_family_constructors_reject_non_integers(make, args):
+    # no truncation: 2.5 is refused, not read as 2
+    with pytest.raises(ValueError):
+        make(*args)
 
 
 # -- classification -------------------------------------------------------------
@@ -194,7 +212,7 @@ def test_replay_balance_matches_defect_rule_on_paired_walk():
     keys = balanced = 0
     for n, bound in ((1, 5), (2, 5), (3, 5), (4, 3)):
         for key in paired_keys(SearchParams(n, 2, bound)):
-            data = _data_from_key(n, key)
+            data = FixedPointData._from_canonical(n, key)
             if _is_family_z(*data.points):
                 continue
             expected = all(n not in c for c in rigidity_defect(data).terms.values())

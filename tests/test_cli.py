@@ -798,3 +798,39 @@ def test_closed_pipe_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert b"Traceback" not in err
+
+
+# a series report of about 110 kB, larger than the pipe buffer
+SERIES_160 = document(2, [((1, 2), 1), ((-1, -2), 1)], order="160")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv, doc, take",
+    [(["verify", "-"], S3_12, 0), (["series", "-"], SERIES_160, 1)],
+    ids=["verify", "series"],
+)
+def test_closed_pipe_exits_quietly_for_every_command(argv, doc, take, unbuffered):
+    # verify: the reader is gone before the report is written; series: it
+    # takes the first bytes of the report and closes while the write waits
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "txyrigid", *argv],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    if not take:
+        proc.stdout.close()
+    proc.stdin.write(doc.encode())
+    proc.stdin.close()
+    if take:
+        assert proc.stdout.read(take) == b"{"
+        proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

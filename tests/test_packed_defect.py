@@ -9,7 +9,7 @@ from conftest import assert_matches_reference
 from txyrigid import genera
 from txyrigid.classify import make_l1, make_s3, make_z
 from txyrigid.genera import FixedPoint, FixedPointData, _split_slots, rigidity_defect
-from txyrigid.search import SearchParams, _data_from_key, _enumerate_shard
+from txyrigid.search import SearchParams, _enumerate_shard
 
 
 def assert_kernels_match_reference(data, monkeypatch):
@@ -75,7 +75,7 @@ def test_packed_matches_reference_on_desk_join_keys(monkeypatch):
     # every key the desk search checks, n = 1..4, |w| <= 5
     for n in range(1, 5):
         for key in _enumerate_shard(SearchParams(n, 2, 5), 0, 1, True):
-            assert_kernels_match_reference(_data_from_key(n, key), monkeypatch)
+            assert_kernels_match_reference(FixedPointData._from_canonical(n, key), monkeypatch)
 
 
 def test_packed_matches_reference_on_families(monkeypatch):

@@ -13,7 +13,6 @@ from txyrigid.search import (
     ORDER_OF_3,
     SearchParams,
     _count_classes,
-    _data_from_key,
     _enumerate_shard,
     _negate_point,
     _residues,
@@ -86,7 +85,7 @@ def test_trusted_construction_matches_the_validated_one(params):
     keys = list(_enumerate_shard(params, 0, 1, True))
     assert keys
     for key in keys:
-        trusted = _data_from_key(params.n, key)
+        trusted = FixedPointData._from_canonical(params.n, key)
         validated = FixedPointData(params.n, tuple(FixedPoint(w, s) for s, w in key))
         assert trusted == validated and hash(trusted) == hash(validated)
         assert type(trusted.points) is tuple
@@ -169,7 +168,9 @@ def test_paired_walk_is_the_keys_that_pass_pairing(n):
         for effective in (False, True):
             params = SearchParams(n, 2, 3, signs, effective)
             rigid = [
-                key for key in paired_keys(params) if is_rigid(_data_from_key(n, key)).rigid
+                key
+                for key in paired_keys(params)
+                if is_rigid(FixedPointData._from_canonical(n, key)).rigid
             ]
             assert list(_enumerate_shard(params, 0, 1, True)) == rigid
 
@@ -201,7 +202,9 @@ def test_join_is_the_full_walk_filtered_by_residues(m, sizes):
                 full = list(_enumerate_shard(params, 0, 1))
                 assert _count_classes(params) == len(full)
                 kept = [
-                    key for key in full if residue_sum(_data_from_key(n, key)) == 0
+                    key
+                    for key in full
+                    if residue_sum(FixedPointData._from_canonical(n, key)) == 0
                 ]
                 assert list(_enumerate_shard(params, 0, 1, True)) == kept
                 shards = [list(_enumerate_shard(params, i, 3, True)) for i in range(3)]
@@ -289,6 +292,22 @@ def test_search_params_validation():
     for n, w in ((8, 12), (10**6, 10**6)):
         with pytest.raises(ValueError, match=str(MAX_SEARCH_WORK)):
             SearchParams(n=n, m=2, max_abs_weight=w)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n": 2.5, "m": 2, "max_abs_weight": 2},
+        {"n": 2, "m": 2.0, "max_abs_weight": 2},
+        {"n": 2, "m": 2, "max_abs_weight": "2"},
+        {"n": 2, "m": 2, "max_abs_weight": 2, "sign_patterns": ((1.5, -1.2),)},
+        {"n": 2, "m": 2, "max_abs_weight": 2, "sign_patterns": (("+", "-"),)},
+    ],
+)
+def test_search_params_reject_non_integers(kwargs):
+    # no truncation: 2.5 or a sign of 1.5 is refused, not read as 2 or 1
+    with pytest.raises(ValueError, match="must be integers"):
+        SearchParams(**kwargs)
 
 
 def test_search_guard_bounds_join_work():
@@ -440,7 +459,7 @@ def test_prune_counts_per_rung():
     # the public prune keeps 970 of the 8,545 keys that pass pairing
     paired = paired_keys(params)
     assert len(paired) == 8545
-    assert sum(prune(_data_from_key(4, key)) for key in paired) == 970
+    assert sum(prune(FixedPointData._from_canonical(4, key)) for key in paired) == 970
 
 
 def test_prune_counts_match_the_public_rule():
