@@ -134,6 +134,8 @@ def document_data(doc: dict) -> FixedPointData:
     if "n" not in doc:
         raise InputError("n: required field is missing")
     n = _parse_int(doc["n"], "n")
+    if n < 1:
+        raise InputError(f"n: must be a positive integer, got {n}")
     raw_points = doc.get("points")
     if not isinstance(raw_points, list) or not raw_points:
         raise InputError("points: a nonempty list of points is required")

@@ -37,8 +37,8 @@ from .algebra import PolyXY
 # Work guard: rigidity_defect refuses data when its upper bound on the
 # coefficient products of the expansion exceeds this.  Two negated points
 # with n distinct power-of-two weights first exceed it at n = 17; at
-# n = 16 the packed defect takes about 0.16 s and decoding its 65,534
-# terms another 0.55 s (Python 3.11, 2 vCPU).
+# n = 16 the defect, kept per z-exponent, takes 0.15-0.19 s and decoding
+# its 65,534 terms another 0.4-0.58 s (Python 3.11.7, 2 vCPU).
 MAX_DEFECT_WORK = 1 << 26
 
 # rigidity_defect packs the whole defect into one int when that int has
@@ -306,84 +306,43 @@ def _times_z_minus_one(poly: dict, a: int) -> dict:
     return out
 
 
-def _dense_defect(
-    data: FixedPointData, extra: list[list[int]], shared: list[int], coeffs: list[int],
-    bits: int, slot: int,
-) -> int:
-    """The defect as one int: x at 2^bits, z at 2^slot."""
-    total = 0
-    for point, more in zip(data.points, extra):
-        t = point.sign
-        for w in point.weights:
-            if w > 0:
-                t += t << (bits + slot * w)
-            else:
-                t = -((t << bits) + (t << slot * -w))
-        for a in more:
-            t = (t << slot * a) - t
-        total += t
-    expected = sum(c << bits * i for i, c in enumerate(coeffs))
-    for a in shared:
-        expected = (expected << slot * a) - expected
-    return total - expected
-
-
-def _sparse_defect(
-    data: FixedPointData, extra: list[list[int]], shared: list[int], coeffs: list[int],
-    bits: int,
-) -> dict[int, int]:
-    """The defect as {z-exponent: int}, x at 2^bits."""
-    total: dict[int, int] = {}
-    for point, more in zip(data.points, extra):
-        term = {0: point.sign}
-        for w in point.weights:
-            if w > 0:
-                term = _times_x_z_plus_one(term, w, bits)
-            else:
-                term = _times_minus_x_plus_z(term, -w, bits)
-        for a in more:
-            term = _times_z_minus_one(term, a)
-        for k, c in term.items():
-            total[k] = total.get(k, 0) + c
-    expected = {0: sum(c << bits * i for i, c in enumerate(coeffs))}
-    for a in shared:
-        expected = _times_z_minus_one(expected, a)
-    for k, c in expected.items():
-        total[k] = total.get(k, 0) - c
-    return total
-
-
 def rigidity_defect(data: FixedPointData, coeffs: Optional[list[int]] = None) -> PackedDefect:
     """Numerator minus constant times expanded denominator, at y = 1; the
     data is rigid exactly when this Laurent polynomial is zero.  ``coeffs``
     is ``_ah_coefficients(data)`` when the caller already has it.
 
     The points are put over the least common multiset of their (z^a - 1)
-    factors, so every product is a chain of binomials in z.  Before
-    expanding anything, the work of those chains is bounded from the
-    weights alone; a bound above MAX_DEFECT_WORK raises ValueError.  The
-    bound counts distinct weight sums, so large weights alone do not
-    trip it.
+    factors, F of them with exponents summing to D.  The defect is then the
+    sum of m + 1 chains of binomials in z.  Chain p, for each of the m
+    points, starts at the point's sign and multiplies in x z^w + 1 for each
+    weight w > 0, -(x + z^a) for each weight -a < 0, and then the (z^a - 1)
+    factors the point lacks of the shared multiset.  Chain m + 1 starts at
+    minus the Atiyah-Hirzebruch constant, -sum_i c_i x^i, and multiplies in
+    every shared (z^a - 1).  Before expanding anything, the work of those
+    chains is bounded from the weights alone; a bound above
+    MAX_DEFECT_WORK raises ValueError.  The bound counts distinct weight
+    sums, so large weights alone do not trip it.
 
-    Each point's product, and each Atiyah-Hirzebruch monomial times the
-    shared product, multiplies F binomials with coefficients +-1, F the
-    size of the shared multiset, so its x-coefficients are bounded by
-    its L1 norm 2^F.  The defect sums m of the first and m of the second,
-    so its coefficients are at most 2m * 2^F < 2^(B - 1) for
-    B = F + bit_length(m + 1) + 2, rounded up to whole bytes.  Each
-    x-coefficient is then one balanced base-2^B digit, so packing x at
-    2^B is injective and the digits are byte ranges.
+    Every chain multiplies F binomials with coefficients +-1, so its
+    x-coefficients are at most its start's L1 norm times 2^F: 2^F for a
+    point and m 2^F for the constant.  The defect's coefficients are then
+    at most 2m * 2^F < 2^(B - 1) for B = F + bit_length(m + 1) + 2,
+    rounded up to whole bytes.  Each x-coefficient is one balanced
+    base-2^B digit, so packing x at 2^B is injective and the digits are
+    byte ranges.
 
-    Every z-coefficient has x-degree at most n and every z-exponent lies
-    in 0 .. D, D the sum of the shared multiset.  So with S = (n + 1) B,
-    the whole defect is one int with x at 2^B and z at 2^S: the x^i
-    coefficient of z^k is digit k (n + 1) + i, no digit spills into the
-    next, and the int is 0 exactly when the defect is.  Each binomial
-    step is then one shift and one add on that int.  Its size,
+    The two layouts run the same chains and differ only in how they
+    multiply by a binomial and how they add.  Every z-coefficient has
+    x-degree at most n and every z-exponent lies in 0 .. D.  So with
+    S = (n + 1) B, the whole defect is one int with x at 2^B and z at 2^S:
+    the x^i coefficient of z^k is digit k (n + 1) + i, no digit spills
+    into the next, and the int is 0 exactly when the defect is.  A
+    binomial is then one shift and one add on that int.  Its size,
     (D + 1) S bits, grows with the weights themselves, so past
     MAX_DENSE_BITS (large weights with few factors, such as L1 and S3 at
-    10^9 + 7) the defect is kept as one int per z-exponent instead,
-    whose count grows only with the distinct weight sums.
+    10^9 + 7) the defect is kept as {z-exponent: int} instead, whose size
+    grows only with the distinct weight sums, and a binomial is one pass
+    over the z-coefficients.
     """
     n = data.n
     shared, extra = _shared_factors([sorted(map(abs, p.weights)) for p in data.points])
@@ -401,9 +360,35 @@ def rigidity_defect(data: FixedPointData, coeffs: Optional[list[int]] = None) ->
     coeffs = _ah_coefficients(data) if coeffs is None else coeffs
     bits = -(-(len(shared) + (data.m + 1).bit_length() + 2) // 8) * 8
     slot = (n + 1) * bits
-    if (degree + 1) * slot <= MAX_DENSE_BITS:
-        return PackedDefect(_dense_defect(data, extra, shared, coeffs, bits, slot), bits, n)
-    return PackedDefect(_sparse_defect(data, extra, shared, coeffs, bits), bits)
+    dense = (degree + 1) * slot <= MAX_DENSE_BITS
+    constant = 0  # sum_i c_i x^i, x at 2^bits
+    for c in reversed(coeffs):
+        constant = (constant << bits) + c
+    # (start, weights, (z^a - 1) factors): the m points, then the constant
+    chains = [(p.sign, p.weights, more) for p, more in zip(data.points, extra)]
+    chains.append((-constant, (), shared))
+    total = 0 if dense else {}
+    for first, weights, more in chains:
+        # on the one int, times x is a shift by bits and times z^a a shift
+        # by a * slot; on the map, a chain starts at z^0
+        t = first if dense else {0: first}
+        for w in weights:
+            if dense and w > 0:
+                t += t << (bits + slot * w)
+            elif dense:
+                t = -((t << bits) + (t << slot * -w))
+            elif w > 0:
+                t = _times_x_z_plus_one(t, w, bits)
+            else:
+                t = _times_minus_x_plus_z(t, -w, bits)
+        for a in more:
+            t = (t << slot * a) - t if dense else _times_z_minus_one(t, a)
+        if dense:
+            total += t
+        else:
+            for k, c in t.items():
+                total[k] = total.get(k, 0) + c
+    return PackedDefect(total, bits, n if dense else None)
 
 
 def is_rigid(data: FixedPointData) -> GenusReport:

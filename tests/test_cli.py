@@ -83,6 +83,23 @@ def test_verify_not_rigid_exits_one(capsys, monkeypatch):
     assert report["defect_terms"] > 0
 
 
+@pytest.mark.parametrize(
+    "doc, terms",
+    [
+        (NOT_RIGID, 2),
+        # a paired near miss: z-exponents 0 .. 5; the top one, 6, cancels
+        (document(3, [((1, -2, 3), 1), ((-1, 2, 3), 1)]), 6),
+        # the one-int defect would have 3.2 * 10^10 bits, so it is kept per
+        # z-exponent: (1 + x) (z^a + z^(a - 1) - 2) for a = 10^9 + 7
+        (document(1, [((10**9 + 7,), 1), ((10**9 + 6,), 1)]), 3),
+    ],
+)
+def test_verify_counts_defect_terms(capsys, monkeypatch, doc, terms):
+    status, out, _ = run_cli(capsys, ["verify", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert status == 1
+    assert json.loads(out)["defect_terms"] == terms
+
+
 def test_verify_zero_weight_is_input_error(capsys, monkeypatch):
     bad = document(1, [((0,), 1), ((1,), 1)])
     status, out, err = run_cli(capsys, ["verify", "-"], stdin=bad, monkeypatch=monkeypatch)
@@ -704,6 +721,9 @@ PAIR = [_point("1", "2"), _point("-1", "-2")]
     [
         ({"points": PAIR}, "n: required field is missing"),
         ({"n": True, "points": PAIR}, "n: expected an integer, got a boolean"),
+        # n is checked before any point is read
+        ({"n": -3, "points": [_point("1")]}, "n: must be a positive integer, got -3"),
+        ({"n": "0", "points": [_point("1")]}, "n: must be a positive integer, got 0"),
         ({"n": "2", "points": [["1", "2"], PAIR[1]]}, "points[0]: expected an object"),
         (
             {"n": "2", "points": [PAIR[0], _point()]},

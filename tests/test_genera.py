@@ -258,6 +258,20 @@ def test_work_guard_rejects_many_distinct_weights():
         rigidity_defect(data)
 
 
+def test_work_guard_edge_on_power_of_two_weights():
+    # two negated points with n distinct power-of-two weights: admitted at
+    # n = 16, in the per-z-exponent layout, and refused from n = 17, with
+    # estimate (m + 1) F min(2^F, D + 1) (n + 1) = 3 * 17 * 2^17 * 18
+    def negated(n):
+        weights = tuple(2**i for i in range(n))
+        return FixedPointData(n, (FixedPoint(weights, 1), FixedPoint(tuple(-w for w in weights), 1)))
+
+    defect = rigidity_defect(negated(16))
+    assert defect.degree is None and not defect.is_zero()
+    with pytest.raises(ValueError, match=f"estimate 120324096 .* the bound {MAX_DEFECT_WORK}$"):
+        rigidity_defect(negated(17))
+
+
 def test_work_guard_admits_large_weights():
     for a in (10**6, 10**9 + 7):
         assert is_rigid(make_l1(a)).rigid
