@@ -721,9 +721,6 @@ PAIR = [_point("1", "2"), _point("-1", "-2")]
     [
         ({"points": PAIR}, "n: required field is missing"),
         ({"n": True, "points": PAIR}, "n: expected an integer, got a boolean"),
-        # n is checked before any point is read
-        ({"n": -3, "points": [_point("1")]}, "n: must be a positive integer, got -3"),
-        ({"n": "0", "points": [_point("1")]}, "n: must be a positive integer, got 0"),
         ({"n": "2", "points": [["1", "2"], PAIR[1]]}, "points[0]: expected an object"),
         (
             {"n": "2", "points": [PAIR[0], _point()]},
@@ -758,6 +755,9 @@ PAIR = [_point("1", "2"), _point("-1", "-2")]
             {"n": "2", "points": [_point("0", "x"), PAIR[1]]},
             "points[0].weights[1]: 'x' is not a decimal integer",
         ),
+        # n is checked before any point is read
+        ({"n": -3, "points": [_point("1")]}, "n: must be a positive integer, got -3"),
+        ({"n": "0", "points": [_point("1")]}, "n: must be a positive integer, got 0"),
     ],
 )
 def test_document_diagnostics(capsys, monkeypatch, doc, message):
