@@ -150,6 +150,31 @@ def test_decimal_strings_keep_sign_and_fraction_forms(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "constant"
 
 
+POWERS_17 = [2**i for i in range(17)]
+
+
+@pytest.mark.parametrize(
+    "doc, status, terms",
+    [
+        # (1, 2)+ and (2, 1)- cancel; (1, 3)+ is left, so the full defect
+        (document(2, [((1, 2), 1), ((2, 1), -1), ((1, 3), 1)]), 1, 4),
+        # equal signs add up, so nothing cancels
+        (document(2, [((1, 2), 1), ((2, 1), 1)]), 1, 3),
+        # everything cancels and nothing is expanded: the full defect's
+        # work estimate, 120324096, is past the guard
+        (document(17, [(POWERS_17, 1), (POWERS_17, -1)]), 0, 0),
+    ],
+    ids=["one-pair-cancels", "equal-signs", "z-past-the-work-guard"],
+)
+def test_verify_cancels_z_sub_pairs(capsys, monkeypatch, doc, status, terms):
+    code, out, _ = run_cli(capsys, ["verify", "-"], stdin=doc, monkeypatch=monkeypatch)
+    report = json.loads(out)
+    assert code == status and report["rigid"] is (status == 0)
+    assert report["defect_terms"] == terms
+    if status == 0:
+        assert report["constant"] == []
+
+
 def test_verify_work_guard_exits_two_fast(capsys, monkeypatch):
     # two points with the 30 distinct weights 2^0..2^29 would take hours
     weights = [2**i for i in range(30)]

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from conftest import random_data
 from txyrigid.algebra import LaurentZ, PolyXY
 from txyrigid.classify import make_l1, make_s3, make_z
+from txyrigid.cli import document_data
 from txyrigid.genera import (
     MAX_DEFECT_WORK,
     FixedPoint,
@@ -20,6 +23,7 @@ from txyrigid.genera import (
     rigidity_defect,
     weight_gcd,
 )
+from txyrigid.search import SearchParams, _enumerate_shard
 
 X = PolyXY.x()
 Y = PolyXY.y()
@@ -276,6 +280,43 @@ def test_work_guard_admits_large_weights():
     for a in (10**6, 10**9 + 7):
         assert is_rigid(make_l1(a)).rigid
         assert is_rigid(make_s3(a, 3 * a + 1)).rigid
+
+
+# -- Z sub-pair cancellation -------------------------------------------------
+
+
+PINNED_CHECK = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "perfbench", "expected", "check.json",
+)
+
+
+def desk_join_data():
+    """Every key the desk search (m = 2, |w| <= 5, n = 1..4) checks."""
+    return [
+        FixedPointData._from_canonical(n, key)
+        for n in range(1, 5)
+        for key in _enumerate_shard(SearchParams(n, 2, 5), 0, 1, True)
+    ]
+
+
+def check_catalogue_data():
+    """Every document of the benchmark's pinned verify catalogue."""
+    with open(PINNED_CHECK, encoding="utf-8") as handle:
+        catalogue = json.load(handle)
+    return [document_data(entry["doc"]) for entries in catalogue.values() for entry in entries]
+
+
+@pytest.mark.parametrize("source, count", [(desk_join_data, 532), (check_catalogue_data, 1830)])
+def test_reduced_verdict_matches_unreduced_defect(source, count):
+    # is_rigid cancels Z sub-pairs first; rigidity_defect never does
+    datas = source()
+    assert len(datas) == count
+    for data in datas:
+        report, defect = is_rigid(data), rigidity_defect(data)
+        assert report.rigid == defect.is_zero()
+        if not report.rigid:
+            assert report.defect.term_count() == defect.term_count()
 
 
 # -- symmetry invariants -----------------------------------------------------

@@ -227,6 +227,41 @@ def test_l1_difference_is_rigid_with_constant_zero(data):
         assert series_is_constant(genus_series(data, TXY, 12)) == PolyXY.zero()
 
 
+@st.composite
+def with_z_pair(draw, base):
+    """base with a Z pair appended: any point, then a point with the same
+    weights in any order and the opposite sign."""
+    data = draw(base)
+    weights = tuple(draw(_weights(data.n, 6)))
+    sign = draw(SIGNS)
+    pair = (FixedPoint(weights, sign), FixedPoint(tuple(draw(st.permutations(weights))), -sign))
+    return data, FixedPointData(data.n, data.points + pair)
+
+
+@given(with_z_pair(small_data() | two_points()))
+def test_z_pair_keeps_verdict_and_constant(pair):
+    # the pair's fixed-point terms and AH monomials cancel exactly
+    data, grown = pair
+    base, report = is_rigid(data), is_rigid(grown)
+    assert (report.rigid, report.ah_constant) == (base.rigid, base.ah_constant)
+    if report.rigid:
+        assert report.defect.term_count() == 0
+
+
+@given(with_z_pair(
+    st.integers(1, 8).map(make_l1)
+    | st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda ab: make_s3(*ab))
+))
+def test_family_with_z_pair_stays_rigid(pair):
+    family, grown = pair
+    x, y = PolyXY.x(), PolyXY.y()
+    # L1 has constant x - y, S3 x y^2 - x^2 y
+    expected = x - y if family.n == 1 else x * y * y - x * x * y
+    report = is_rigid(grown)
+    assert report.rigid and report.constant == expected
+    assert report.defect.term_count() == 0
+
+
 # -- symmetries of the series route ---------------------------------------------
 
 
