@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Optional, Sequence
 
-from .genera import FixedPoint, FixedPointData, rigidity_defect
+from .genera import FixedPoint, FixedPointData, pairs_off, rigidity_defect
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,6 @@ def _require_two_points(data: FixedPointData) -> tuple[FixedPoint, FixedPoint]:
     return data.points[0], data.points[1]
 
 
-def _is_family_z(p1: FixedPoint, p2: FixedPoint) -> bool:
-    # weight order inside a point is not meaningful: compare multisets
-    return p1.sign == -p2.sign and sorted(p1.weights) == sorted(p2.weights)
-
-
 def pairing_check(data: FixedPointData) -> bool:
     """Whether the two points carry the same weight magnitudes (as
     multisets) - a necessary condition for two-point rigidity."""
@@ -106,7 +101,7 @@ def classify_two_points(data: FixedPointData) -> FamilyTag:
     no family is split by the exact rigidity check into NotRigid and
     RigidUnclassified."""
     p1, p2 = _require_two_points(data)
-    if _is_family_z(p1, p2):
+    if pairs_off(data.points):
         plus = p1 if p1.sign == 1 else p2
         return FamilyTag("Z", tuple(sorted(plus.weights, reverse=True)))
     if p1.sign == p2.sign:
@@ -188,7 +183,7 @@ def replay_proof(data: FixedPointData) -> ProofTrace:
     p1, p2 = _require_two_points(data)
     if not pairing_check(data):
         raise ValueError("the two points carry different weight magnitudes")
-    if _is_family_z(p1, p2):
+    if pairs_off(data.points):
         raise ValueError("family Z data: the non-Z branch does not apply")
 
     negation_pairing = sorted(p1.weights) == sorted(-w for w in p2.weights)

@@ -361,19 +361,17 @@ def run_series(args) -> int:
     return 0 if constant is not None else 1
 
 
-def _parse_sign_patterns(text: str, m: int):
+def _parse_sign_patterns(text: str):
+    """The --signs patterns as tuples of +1/-1; SearchParams checks their
+    length against m, after it has checked m itself."""
     if text == "all":
         return None
     patterns = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if len(chunk) != m or any(c not in "+-" for c in chunk):
-            raise InputError(
-                f"--signs: pattern {chunk!r} must be {m} characters of '+'/'-'"
-            )
+        if any(c not in "+-" for c in chunk):
+            raise InputError(f"--signs: pattern {chunk!r} may hold only '+' and '-'")
         patterns.append(tuple(1 if c == "+" else -1 for c in chunk))
-    if not patterns:
-        raise InputError("--signs: at least one pattern is required")
     return tuple(patterns)
 
 
@@ -391,7 +389,7 @@ def result_json(result: SearchResult) -> dict:
 
 
 def run_search(args) -> int:
-    patterns = _parse_sign_patterns(args.signs, args.m)
+    patterns = _parse_sign_patterns(args.signs)
     try:
         params = SearchParams(
             n=args.n,

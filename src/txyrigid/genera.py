@@ -20,10 +20,11 @@ its y = 0 value is its x^n coefficient.
 
 ``rigidity_defect`` returns the defect packed into ints by Kronecker
 substitution, as a ``PackedDefect``; its docstring gives the layout and
-the width that makes the packing exact.  ``is_rigid`` first cancels the
-Z sub-pairs, points with the same weights and opposite signs, and expands
-only what is left; its docstring gives the proof.  ``algebra.LaurentZ``,
-which multiplies term by term, is kept as the tests' reference kernel.
+the width that makes the packing exact.  ``is_rigid`` expands nothing
+for data that pairs off completely into Z pairs, points with the same
+weights and opposite signs; its docstring gives the proof.
+``algebra.LaurentZ``, which multiplies term by term, is kept as the
+tests' reference kernel.
 """
 
 from __future__ import annotations
@@ -393,54 +394,34 @@ def rigidity_defect(data: FixedPointData, coeffs: Optional[list[int]] = None) ->
     return PackedDefect(total, bits, n if dense else None)
 
 
-def _cancel_z_pairs(points: tuple[FixedPoint, ...]) -> Optional[tuple[FixedPoint, ...]]:
-    """The points left once every two with the same weights and opposite
-    signs cancel, or None when no two cancel."""
+def pairs_off(points: tuple[FixedPoint, ...]) -> bool:
+    """Whether the points split into Z pairs: two points with the same
+    weights, in any order, and opposite signs."""
     net: dict[tuple[int, ...], int] = {}
     for p in points:
         key = tuple(sorted(p.weights))
         net[key] = net.get(key, 0) + p.sign
-    if sum(map(abs, net.values())) == len(points):
-        return None
-    return tuple(
-        FixedPoint(key, 1 if s > 0 else -1) for key, s in net.items() for _ in range(abs(s))
-    )
+    return not any(net.values())
 
 
 def is_rigid(data: FixedPointData) -> GenusReport:
     """The exact rigidity check of ``data``, with its AH constant.
 
-    Z sub-pairs cancel before anything is expanded.  Two points with the
-    same weights, in any order, and opposite signs add +T and -T to the
-    fixed-point sum, T = prod_j (x z^w + y) / (z^w - 1), and +M and -M to
-    the Atiyah-Hirzebruch sum, M = x^{s+} (-y)^{s-}; both T and M depend
-    on the weights alone.  So the fixed-point sum minus the AH constant is
-    the same rational function of z for the data and for its reduction,
-    the points left once every such pair is removed, and the two AH
-    constants are equal.  The cleared defect of either is that function
-    times its own common denominator, a nonzero polynomial, so one defect
-    is zero exactly when the other is: the data is rigid exactly when its
-    reduction is, with the same constant, and data that reduces to nothing
-    is rigid with constant 0.  The reduction groups the points by sorted
-    weight tuple and adds up each group's signs.  It is skipped when no
-    two AH monomials cancel, sum_i |c_i| = m for the AH coefficients c_i,
-    since a Z pair's two monomials would.
-
-    A rigid report carries the zero defect.  A report that is not rigid
-    carries the full data's defect, as ``rigidity_defect`` builds it, so
-    its term count does not depend on the reduction.
+    Data that pairs off completely is rigid with constant 0 and is not
+    expanded.  Two points with the same weights, in any order, and
+    opposite signs add +T and -T to the fixed-point sum,
+    T = prod_j (x z^w + y) / (z^w - 1), and +M and -M to the
+    Atiyah-Hirzebruch sum, M = x^{s+} (-y)^{s-}; both T and M depend on
+    the weights alone.  So when every point has such a partner, both sums
+    are 0 and the defect is the zero polynomial.  Every AH coefficient is
+    then 0 too, and that cheaper test runs first.  All other data, partly
+    cancelling data included, goes through ``rigidity_defect``.
     """
     coeffs = _ah_coefficients(data)
-    left = _cancel_z_pairs(data.points) if sum(map(abs, coeffs)) < len(data.points) else None
-    if left is None:
-        defect = rigidity_defect(data, coeffs)
-    elif not left:
+    if not any(coeffs) and pairs_off(data.points):
         defect = PackedDefect(0, 8, data.n)  # the zero int, in one-byte digits
     else:
-        # the cancelled pairs' AH monomials cancel too, so coeffs serve
-        defect = rigidity_defect(FixedPointData(data.n, left), coeffs)
-        if not defect.is_zero():
-            defect = rigidity_defect(data, coeffs)
+        defect = rigidity_defect(data, coeffs)
     rigid = defect.is_zero()
     constant = _ah_poly(data.n, coeffs)
     return GenusReport(

@@ -131,7 +131,7 @@ class SearchParams:
             raise ValueError("max_abs_weight must be nonnegative")
         for p in patterns or ():
             if len(p) != self.m or any(s not in (1, -1) for s in p):
-                raise ValueError("each sign pattern needs m entries of +1/-1")
+                raise ValueError(f"each sign pattern needs m = {self.m} entries of +1/-1")
         cap = MAX_SEARCH_WORK
         points = 2 * _capped_comb(2 * self.max_abs_weight + self.n - 1, self.n, cap)
         work = points + _capped_comb(points + self.m - 2, self.m - 1, cap)

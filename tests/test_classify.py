@@ -10,7 +10,6 @@ from txyrigid import classify, genera
 from txyrigid.algebra import PolyXY
 from txyrigid.classify import (
     FamilyTag,
-    _is_family_z,
     classify_two_points,
     make_l1,
     make_s3,
@@ -19,7 +18,7 @@ from txyrigid.classify import (
     replay_proof,
 )
 from txyrigid.cli import main
-from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, rigidity_defect
+from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, pairs_off, rigidity_defect
 from txyrigid.search import SearchParams, enumerate_data
 
 X = PolyXY.x()
@@ -213,7 +212,7 @@ def test_replay_balance_matches_defect_rule_on_paired_walk():
     for n, bound in ((1, 5), (2, 5), (3, 5), (4, 3)):
         for key in paired_keys(SearchParams(n, 2, bound)):
             data = FixedPointData._from_canonical(n, key)
-            if _is_family_z(*data.points):
+            if pairs_off(data.points):
                 continue
             expected = all(n not in c for c in rigidity_defect(data).terms.values())
             assert replay_proof(data).balance_holds == expected, data

@@ -463,6 +463,24 @@ def test_search_bad_signs_flag(capsys):
     assert "--signs" in err
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        # the pattern '+' is checked against m only once m itself is valid
+        ("0", "n and m must be positive"),
+        ("-1", "n and m must be positive"),
+        ("2", "each sign pattern needs m = 2 entries of +1/-1"),
+    ],
+)
+def test_search_bad_m_or_pattern_length(capsys, m, message):
+    status, _, err = run_cli(
+        capsys,
+        ["search", "--m", m, "--n", "2", "--max-weight", "2", "--signs", "+"],
+    )
+    assert status == 2
+    assert err.strip() == f"error: search parameters: {message}"
+
+
 def test_search_deterministic_output(capsys):
     argv = ["search", "--n", "2", "--m", "2", "--max-weight", "2"]
     status1, out1, _ = run_cli(capsys, argv)

@@ -10,6 +10,7 @@ from operator import or_
 import pytest
 
 from conftest import random_data
+from txyrigid import genera
 from txyrigid.algebra import LaurentZ, PolyXY
 from txyrigid.classify import make_l1, make_s3, make_z
 from txyrigid.cli import document_data
@@ -317,6 +318,37 @@ def test_reduced_verdict_matches_unreduced_defect(source, count):
         assert report.rigid == defect.is_zero()
         if not report.rigid:
             assert report.defect.term_count() == defect.term_count()
+
+
+def n2_data(*pairs):
+    return FixedPointData(2, tuple(FixedPoint(weights, sign) for weights, sign in pairs))
+
+
+@pytest.mark.parametrize(
+    "data, calls, rigid",
+    [
+        # the full expansion of the 17-weight Z pair is past the work guard
+        (make_z([2**i for i in range(17)]), 0, True),
+        (n2_data(((1, 2), 1), ((3, -1), 1), ((2, 1), -1), ((-1, 3), -1)), 0, True),
+        # (1, 2)+ and (2, 1)- pair off, (1, 3)+ is left
+        (n2_data(((1, 2), 1), ((2, 1), -1), ((1, 3), 1)), 1, False),
+        # L1(1) x (3) - L1(2) x (3): AH constant 0, yet no two points pair off
+        (n2_data(((1, 3), -1), ((-1, 3), -1), ((2, 3), 1), ((-2, 3), 1)), 1, True),
+    ],
+    ids=["z-17-weights", "two-z-pairs", "partly-cancelling", "l1-difference"],
+)
+def test_only_complete_pairing_skips_the_expansion(monkeypatch, data, calls, rigid):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return rigidity_defect(*args)
+
+    monkeypatch.setattr(genera, "rigidity_defect", counted)
+    report = is_rigid(data)
+    assert len(made) == calls and report.rigid is rigid
+    if not calls:
+        assert report.constant == PolyXY.zero() and report.defect.term_count() == 0
 
 
 # -- symmetry invariants -----------------------------------------------------

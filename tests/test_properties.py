@@ -10,14 +10,13 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import assert_matches_reference, residue_sum
 from txyrigid.classify import (
-    _is_family_z,
     classify_two_points,
     make_l1,
     make_s3,
     make_z,
     replay_proof,
 )
-from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, rigidity_defect
+from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, pairs_off, rigidity_defect
 from txyrigid.search import SearchParams, _count_classes, enumerate_data
 from txyrigid.algebra import PolyXY
 from txyrigid.series import TODD, TXY, genus_series, series_is_constant
@@ -48,7 +47,7 @@ def paired_non_z(draw, max_n=8, max_abs=60):
         second = [draw(SIGNS) * abs(w) for w in first]
     p1 = FixedPoint(tuple(first), draw(SIGNS))
     p2 = FixedPoint(tuple(draw(st.permutations(second))), draw(SIGNS))
-    assume(not _is_family_z(p1, p2))
+    assume(not pairs_off((p1, p2)))
     return FixedPointData(n, (p1, p2))
 
 
