@@ -28,6 +28,8 @@ Scalar = Union[int, Fraction]
 
 
 def _fraction(value) -> Fraction:
+    if isinstance(value, float):
+        raise ValueError(f"{value!r} is a float; only exact rationals are accepted")
     return value if type(value) is Fraction else Fraction(value)
 
 

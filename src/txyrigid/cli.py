@@ -65,6 +65,12 @@ class InputError(Exception):
     """Malformed input document; the message carries a field diagnostic."""
 
 
+def _too_long() -> str:
+    # int(), Fraction() and str() raise ValueError past this many digits
+    limit = sys.get_int_max_str_digits()
+    return f"an integer of more than {limit} digits, the interpreter's limit for integer strings"
+
+
 def _parse_int(value: Any, where: str) -> int:
     if isinstance(value, bool):
         raise InputError(f"{where}: expected an integer, got a boolean")
@@ -74,7 +80,10 @@ def _parse_int(value: Any, where: str) -> int:
         text = value.strip()
         if not _INTEGER.fullmatch(text):
             raise InputError(f"{where}: {value!r} is not a decimal integer")
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            raise InputError(f"{where}: {_too_long()}") from None
     raise InputError(f"{where}: expected an integer or decimal string")
 
 
@@ -84,7 +93,10 @@ def _int_flag(text: str) -> int:
     text = text.strip()
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(_too_long()) from None
 
 
 def _parse_fraction(value: Any, where: str) -> Fraction:
@@ -100,12 +112,22 @@ def _parse_fraction(value: Any, where: str) -> Fraction:
             return Fraction(text)
         except ZeroDivisionError:
             raise InputError(f"{where}: {value!r} has a zero denominator") from None
+        except ValueError:
+            raise InputError(f"{where}: {_too_long()}") from None
     raise InputError(f"{where}: expected an integer or fraction string")
 
 
 def load_document(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # a number past the interpreter's digit limit (sign excluded) is
+            # kept as its decimal string, which its field's parser refuses
+            limit = sys.get_int_max_str_digits()
+            doc = json.loads(text, parse_int=lambda s: s if len(s.lstrip("-")) > limit else int(s))
     except json.JSONDecodeError as err:
         raise InputError(f"input:{err.lineno}:{err.colno}: {err.msg}") from None
     except RecursionError:
@@ -119,14 +141,17 @@ def _parse_weights(raw_weights: list, where: str) -> list[int]:
     """A point's weights; a canonical decimal string costs one match and
     one int(), and a field name is formatted only for a bad weight."""
     weights = []
-    for w in raw_weights:
-        if type(w) is str and _INTEGER.fullmatch(w):
-            weights.append(int(w))
-        elif type(w) is int:
-            weights.append(w)
-        else:
-            # padded strings pass here; every other value raises
-            weights.append(_parse_int(w, f"{where}.weights[{len(weights)}]"))
+    try:
+        for w in raw_weights:
+            if type(w) is str and _INTEGER.fullmatch(w):
+                weights.append(int(w))
+            elif type(w) is int:
+                weights.append(w)
+            else:
+                # padded strings pass here; every other value raises
+                weights.append(_parse_int(w, f"{where}.weights[{len(weights)}]"))
+    except ValueError:  # from int(w): past the interpreter's digit limit
+        raise InputError(f"{where}.weights[{len(weights)}]: {_too_long()}") from None
     return weights
 
 
@@ -324,11 +349,7 @@ def run_series(args) -> int:
             rows.append({"exp": k, "coeff": coeff, "pretty": pretty})
         except ValueError:
             # str() refuses ints longer than the interpreter's digit limit
-            raise InputError(
-                f"series: the u^{k} coefficient has an integer of more than"
-                f" {sys.get_int_max_str_digits()} digits, the interpreter's limit"
-                " for integer strings"
-            ) from None
+            raise InputError(f"series: the u^{k} coefficient has {_too_long()}") from None
     cross = None
     if genus.symbolic:
         zreport = is_rigid(data)

@@ -285,27 +285,11 @@ class PackedDefect:
         return f"PackedDefect({self.terms!r})"
 
 
-def _times_x_z_plus_one(poly: dict, w: int, bits: int) -> dict:
-    """poly * (x z^w + 1), x packed at 2^bits."""
-    out = dict(poly)
+def _times_binomial(poly: dict, a: int, low: int, high: int) -> dict:
+    """poly * (low + high z^a), low and high packed ints."""
+    out = {k: low * c for k, c in poly.items()}
     for k, c in poly.items():
-        out[k + w] = out.get(k + w, 0) + (c << bits)
-    return out
-
-
-def _times_minus_x_plus_z(poly: dict, a: int, bits: int) -> dict:
-    """poly * -(x + z^a), x packed at 2^bits."""
-    out = {k: -(c << bits) for k, c in poly.items()}
-    for k, c in poly.items():
-        out[k + a] = out.get(k + a, 0) - c
-    return out
-
-
-def _times_z_minus_one(poly: dict, a: int) -> dict:
-    """poly * (z^a - 1)."""
-    out = {k: -c for k, c in poly.items()}
-    for k, c in poly.items():
-        out[k + a] = out.get(k + a, 0) + c
+        out[k + a] = out.get(k + a, 0) + high * c
     return out
 
 
@@ -344,8 +328,9 @@ def rigidity_defect(data: FixedPointData, coeffs: Optional[list[int]] = None) ->
     (D + 1) S bits, grows with the weights themselves, so past
     MAX_DENSE_BITS (large weights with few factors, such as L1 and S3 at
     10^9 + 7) the defect is kept as {z-exponent: int} instead, whose size
-    grows only with the distinct weight sums, and a binomial is one pass
-    over the z-coefficients.
+    grows only with the distinct weight sums, and every binomial
+    low + high z^a, with low and high packed ints, is one pass over the
+    z-coefficients (``_times_binomial``).
     """
     n = data.n
     shared, extra = _shared_factors([sorted(map(abs, p.weights)) for p in data.points])
@@ -371,6 +356,7 @@ def rigidity_defect(data: FixedPointData, coeffs: Optional[list[int]] = None) ->
     chains = [(p.sign, p.weights, more) for p, more in zip(data.points, extra)]
     chains.append((-constant, (), shared))
     total = 0 if dense else {}
+    x = 1 << bits
     for first, weights, more in chains:
         # on the one int, times x is a shift by bits and times z^a a shift
         # by a * slot; on the map, a chain starts at z^0
@@ -380,12 +366,10 @@ def rigidity_defect(data: FixedPointData, coeffs: Optional[list[int]] = None) ->
                 t += t << (bits + slot * w)
             elif dense:
                 t = -((t << bits) + (t << slot * -w))
-            elif w > 0:
-                t = _times_x_z_plus_one(t, w, bits)
-            else:
-                t = _times_minus_x_plus_z(t, -w, bits)
+            else:  # 1 + x z^w, or -x - z^a for w = -a
+                t = _times_binomial(t, w, 1, x) if w > 0 else _times_binomial(t, -w, -x, -1)
         for a in more:
-            t = (t << slot * a) - t if dense else _times_z_minus_one(t, a)
+            t = (t << slot * a) - t if dense else _times_binomial(t, a, -1, 1)
         if dense:
             total += t
         else:

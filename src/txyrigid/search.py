@@ -7,7 +7,7 @@ and negating every weight.  The canonical key sorts weights descending
 inside each point, sorts the points by (sign, weights), and takes the
 smaller of the datum and its global weight negation.
 
-One generator yields the canonical keys, sharded by their first point:
+One generator yields the canonical keys, sharded by the next-to-last point:
 sorted point multisets minimal under negation, filtered by sign multiset
 (a sign pattern stands for its sorted tuple) and, when asked, by weight
 gcd.  ``prune`` is the public filter of proved necessary conditions:
@@ -44,7 +44,8 @@ both signs.
 
 Because f is additive, the search joins instead of walking: for each
 prefix of m - 1 points it takes the last point from the hash bucket of
-the residue that makes the sum 0.  ``candidates`` counts every class in
+the residue that makes the sum 0; the walk, ``enumerate_data``, is the
+same join over all-zero residues.  ``candidates`` counts every class in
 range, ``len(list(enumerate_data(params)))``, in closed form, and
 ``pruned`` the classes the join skipped.  Negation keeps each point's
 sign, so Burnside's lemma gives (|X_k| + |Fix_k|) / 2 classes with k
@@ -61,7 +62,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, compress, repeat
+from itertools import combinations_with_replacement, compress
 from math import comb, gcd, prod
 from operator import index, itemgetter, neg
 from typing import Iterator, Optional
@@ -195,34 +196,26 @@ def _residues(points: list[PointKey], bound: int) -> list[int]:
 
 
 def _indices(
-    total: int, m: int, shard: int, shards: int, residues: Optional[list[int]]
+    total: int, m: int, shard: int, shards: int, residues: list[int]
 ) -> Iterator[tuple[int, ...]]:
-    """The nondecreasing m-tuples of point indices with first index = shard
-    mod shards, in lexicographic order; with ``residues`` just those whose
-    residues sum to 0 mod MODULUS.  A tuple is a stem, a pen and a last
-    index taken from the pen's candidates.  The join walks a pen only when
-    a bucket holds the residue that completes the sum, a test made in C for
-    all the pens of a stem; for m = 2 every pen passes it (its sign flip)."""
-    firsts = range(shard, total, shards)
+    """The nondecreasing m-tuples of point indices whose residues sum to 0
+    mod MODULUS and whose next-to-last index (the only one for m = 1) is
+    = shard mod shards, in lexicographic order.  A tuple is a stem, a pen
+    and a last index taken from the pen's candidates.  The join walks a pen
+    only when a bucket holds the residue that completes the sum, a test
+    made in C for all the pens of a stem; for m = 2 every pen passes it (its sign flip)."""
     if m == 1:
-        yield from ((i,) for i in firsts if residues is None or residues[i] == 0)
+        yield from ((i,) for i in range(shard, total, shards) if residues[i] == 0)
         return
     buckets: dict[int, list[int]] = {}
-    for i, value in enumerate(residues or ()):
+    for i, value in enumerate(residues):
         buckets.setdefault(value, []).append(i)
-    stems = [()] if m == 2 else (
-        (first, *outer)
-        for first in firsts
-        for outer in combinations_with_replacement(range(first, total), m - 3)
-    )
-    for stem in stems:
-        pens = range(stem[-1], total) if stem else firsts
-        if residues is None:
-            hits = zip(pens, repeat(range(total)))  # the walk: every index from the pen on
-        else:
-            base = -sum(map(residues.__getitem__, stem))
-            wanted = [(base - residues[pen]) % MODULUS for pen in pens]
-            hits = compress(zip(pens, map(buckets.get, wanted)), map(buckets.__contains__, wanted))
+    for stem in combinations_with_replacement(range(total), m - 2):
+        low = stem[-1] if stem else 0
+        pens = range(low + (shard - low) % shards, total, shards)
+        base = -sum(map(residues.__getitem__, stem))
+        wanted = [(base - residues[pen]) % MODULUS for pen in pens]
+        hits = compress(zip(pens, map(buckets.get, wanted)), map(buckets.__contains__, wanted))
         for pen, lasts in hits:
             yield from ((*stem, pen, last) for last in lasts[bisect_left(lasts, pen) :])
 
@@ -230,12 +223,12 @@ def _indices(
 def _enumerate_shard(
     params: SearchParams, shard: int, shards: int, _join: bool = False
 ) -> Iterator[DataKey]:
-    """The canonical keys whose first point has an index = shard mod shards
-    in the point table, in order; with ``_join`` just those whose point
-    residues sum to 0 mod MODULUS."""
+    """The canonical keys in order, sharded by the next-to-last point (the
+    only one for m = 1), whose table index is = shard mod shards; with
+    ``_join`` just those whose point residues sum to 0 mod MODULUS."""
     points, negated = _table(params)
     signs = _sign_multisets(params)
-    residues = _residues(points, params.max_abs_weight) if _join else None
+    residues = _residues(points, params.max_abs_weight) if _join else [0] * len(points)
     for chosen in _indices(len(points), params.m, shard, shards, residues):
         # indices order like the keys they stand for
         if tuple(sorted([negated[i] for i in chosen])) < chosen:

@@ -37,8 +37,9 @@ z-domain checker.
 
 Rational-coefficient genera (Todd built in, others supplied as explicit
 coefficient lists) are expanded in u itself, with the same product of
-rational series; the weight enters by the substitution u -> w*u, i.e. by
-scaling the k-th coefficient with w^k.  Todd's coefficients come from the
+rational series and the same assembly, whose one row is e_n; the weight
+enters by the substitution u -> w*u, i.e. by scaling the k-th
+coefficient with w^k.  Todd's coefficients come from the
 same Bernoulli numbers, because 1/(1 - e^{-u}) = 1 + g(u).
 
 No series is ever divided: every factor is a Laurent series with a
@@ -54,7 +55,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Optional
 
-from .algebra import PolyXY, SeriesU
+from .algebra import PolyXY, SeriesU, _fraction
 from .genera import FixedPointData
 
 # Work guard: genus_series refuses data when its bound on the coefficient
@@ -179,8 +180,8 @@ TODD = GenusSeries("todd")
 
 def genus_from_coefficients(name: str, coefficients) -> GenusSeries:
     """A rational-coefficient genus from the Taylor coefficients of
-    H(u)/u - 1/u (zero beyond the given list)."""
-    return GenusSeries(name, regular_coeffs=tuple(Fraction(c) for c in coefficients))
+    H(u)/u - 1/u (zero beyond the given list); a float raises ValueError."""
+    return GenusSeries(name, regular_coeffs=tuple(map(_fraction, coefficients)))
 
 
 def _size_estimate(n: int, length: int, weights, common: int, genus: GenusSeries) -> int:
@@ -220,10 +221,10 @@ def genus_series(
     Every factor is t^-1 times a power series, so each e_k of a point's
     factors is exact to order - 1 when its power series are kept to length
     order + n.  A point's e_k come from the elementary-symmetric recursion
-    e_k += e_(k-1) * factor, one multiply-accumulate per update; for the
-    two-parameter genus the summed e_k are then assembled into one integer
-    row per y-exponent over every retained exponent, and each nonzero
-    entry becomes one reduced fraction.
+    e_k += e_(k-1) * factor, one multiply-accumulate per update.  The
+    summed e_k are then assembled into one integer row per y-exponent over
+    every retained exponent, and each nonzero entry becomes one reduced
+    fraction; a rational genus has the one row e_n.
 
     Two guards run before any product; each raises ValueError.  The work
     is bounded from m, n and work = order + 2n + 6, a length above
@@ -288,24 +289,21 @@ def genus_series(
         for k in range(low, n + 1):
             sums[k] = [p + q for p, q in zip(sums[k], elementary[k])]
     full = scale**n
-    if not genus.symbolic:
-        coeffs = tuple(PolyXY.const(Fraction(c, full)) for c in sums[n])
-        return SeriesU(-n, order, coeffs)
     # the t^j coefficient of x^(n-k) (x+y)^k t^-k e_k has the y^b term
     # C(k, b) sums[k][j + k] / scale^k; over full = scale^n, row b holds
     # the numerators of every retained j at index j + n, so sums[k] enters
-    # it lifted by scale^(n-k) and shifted by n - k
-    lifted = []
-    for k in range(n + 1):
+    # it lifted by scale^(n-k) and shifted by n - k.  A rational genus has
+    # the one row b = n, e_n itself, keyed (0, 0)
+    for k in range(low, n):
         lift = scale ** (n - k)
-        lifted.append([c * lift for c in sums[k]])
+        sums[k] = [c * lift for c in sums[k]]
     terms = [{} for _ in range(length)]
-    for b in range(n + 1):
+    for b in range(low, n + 1):
         row = [0] * length
         for k in range(b, n + 1):
             f, shift = comb(k, b), n - k
-            row[shift:] = [r + f * c for r, c in zip(row[shift:], lifted[k])]
-        key = (n - b, b)
+            row[shift:] = [r + f * c for r, c in zip(row[shift:], sums[k])]
+        key = (n - b, b) if genus.symbolic else (0, 0)
         for i, c in enumerate(row):
             if c:
                 terms[i][key] = Fraction(c, full)

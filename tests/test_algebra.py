@@ -53,6 +53,21 @@ def test_poly_rejects_negative_exponents():
         PolyXY({(-1, 0): 1})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PolyXY.const(0.5),
+        lambda: PolyXY({(1, 0): 0.25}),
+        lambda: PolyXY.monomial(1, 1, 1.5),
+        lambda: X.substitute(0.1, 1),
+    ],
+    ids=["const", "terms", "monomial", "substitute"],
+)
+def test_poly_refuses_floats(make):
+    with pytest.raises(ValueError, match="is a float; only exact rationals are accepted"):
+        make()
+
+
 def test_poly_ring_axioms_randomized():
     rng = random.Random(2)
     for _ in range(40):

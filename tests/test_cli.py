@@ -742,6 +742,74 @@ def test_integer_flags_accept_a_plus_sign(capsys):
     assert json.loads(out.splitlines()[-1])["params"]["max_weight"] == 3
 
 
+OVER_LIMIT = "1" * 5000
+TOO_LONG = "an integer of more than 4300 digits, the interpreter's limit for integer strings"
+
+
+@pytest.fixture
+def digit_limit_4300():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "command, template, field",
+    [
+        ("verify", '{"n": 1, "points": [{"weights": ["BIG"], "sign": 1}]}', "points[0].weights[0]"),
+        ("verify", '{"n": 1, "points": [{"weights": [1, BIG], "sign": 1}]}', "points[0].weights[1]"),
+        ("verify", '{"n": "BIG", "points": [{"weights": [1], "sign": 1}]}', "n"),
+        ("verify", '{"n": BIG, "points": [{"weights": [1], "sign": 1}]}', "n"),
+        ("verify", '{"n": 1, "points": [{"weights": [1], "sign": -BIG}]}', "points[0].sign"),
+        ("series", '{"n": 1, "points": [{"weights": [1], "sign": 1}], "order": BIG}', "order"),
+        (
+            "series",
+            '{"n": 1, "points": [{"weights": [1], "sign": 1}],'
+            ' "genus": {"name": "g", "coefficients": ["1/2", "BIG/3"]}}',
+            "genus.coefficients[1]",
+        ),
+        (
+            "series",
+            '{"n": 1, "points": [{"weights": [1], "sign": 1}],'
+            ' "genus": {"name": "g", "coefficients": [BIG]}}',
+            "genus.coefficients[0]",
+        ),
+    ],
+    ids=[
+        "weight-string", "weight-number", "n-string", "n-number", "sign-number",
+        "order-number", "coefficient-fraction", "coefficient-number",
+    ],
+)
+def test_integers_past_the_digit_limit_name_their_field(
+    capsys, monkeypatch, digit_limit_4300, command, template, field
+):
+    doc = template.replace("BIG", OVER_LIMIT)
+    status, out, err = run_cli(capsys, [command, "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert status == 2 and out == ""
+    assert err == f"error: {field}: {TOO_LONG}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["search", "--n", "BIG", "--m", "2", "--max-weight", "1"], "--n"),
+        (["search", "--n", "1", "--m", "2", "--max-weight", "BIG"], "--max-weight"),
+        (["search", "--n", "1", "--m", "2", "--max-weight", "1", "--jobs", "BIG"], "--jobs"),
+        (["series", "-", "--order", "BIG"], "--order"),
+    ],
+    ids=["n", "max-weight", "jobs", "order"],
+)
+def test_integer_flags_past_the_digit_limit_name_the_flag(
+    capsys, monkeypatch, digit_limit_4300, argv, flag
+):
+    argv = [OVER_LIMIT if a == "BIG" else a for a in argv]
+    status, out, err = run_cli(capsys, argv, stdin=L1_4, monkeypatch=monkeypatch)
+    assert status == 2 and out == ""
+    assert err.endswith(f"error: argument {flag}: {TOO_LONG}\n")
+    assert "1" * 100 not in err
+
+
 def test_usage_error_exits_two():
     proc = subprocess.run(
         [sys.executable, "-m", "txyrigid", "search", "--n", "1"],

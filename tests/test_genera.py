@@ -309,8 +309,9 @@ def check_catalogue_data():
 
 
 @pytest.mark.parametrize("source, count", [(desk_join_data, 532), (check_catalogue_data, 1830)])
-def test_reduced_verdict_matches_unreduced_defect(source, count):
-    # is_rigid cancels Z sub-pairs first; rigidity_defect never does
+def test_is_rigid_agrees_with_rigidity_defect(source, count):
+    # on the desk join keys and the check documents: the same verdict, and
+    # the same term count for data that is not rigid
     datas = source()
     assert len(datas) == count
     for data in datas:

@@ -207,8 +207,13 @@ def test_join_is_the_full_walk_filtered_by_residues(m, sizes):
                     if residue_sum(FixedPointData._from_canonical(n, key)) == 0
                 ]
                 assert list(_enumerate_shard(params, 0, 1, True)) == kept
-                shards = [list(_enumerate_shard(params, i, 3, True)) for i in range(3)]
-                assert sorted(key for shard in shards for key in shard) == sorted(kept)
+                index = {point: i for i, point in enumerate(_table(params)[0])}
+                for count in (2, 3):
+                    shards = [list(_enumerate_shard(params, i, count, True)) for i in range(count)]
+                    assert sorted(key for shard in shards for key in shard) == sorted(kept)
+                    # each shard holds the keys whose next-to-last point it owns
+                    for i, shard in enumerate(shards):
+                        assert all(index[key[max(m - 2, 0)]] % count == i for key in shard)
 
 
 def mobius(limit):

@@ -169,6 +169,13 @@ def test_custom_genus_matches_builtin_todd():
         assert genus_series(data, custom, 10) == genus_series(data, TODD, 10)
 
 
+@pytest.mark.parametrize("coefficients", [[0.1], [Fraction(1, 2), 0.5], (1, 0.25)])
+def test_custom_genus_refuses_floats(coefficients):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValueError, match="is a float; only exact rationals are accepted"):
+        genus_from_coefficients("floats", coefficients)
+
+
 def test_unknown_genus_has_no_rule():
     with pytest.raises(ValueError):
         GenusSeries("mystery").regular_coefficient(0)
