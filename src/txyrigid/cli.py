@@ -46,7 +46,7 @@ from typing import Any, Optional
 
 from .algebra import PolyXY, format_terms
 from .classify import ProofTrace, classify_two_points, pairing_check, replay_proof
-from .genera import FixedPoint, FixedPointData, is_rigid
+from .genera import FixedPointData, is_rigid
 from .search import SearchParams, SearchResult, search_rigid
 from .series import GenusSeries, TODD, TXY, genus_from_coefficients, genus_series, series_is_constant
 
@@ -71,50 +71,51 @@ def _too_long() -> str:
     return f"an integer of more than {limit} digits, the interpreter's limit for integer strings"
 
 
-def _parse_int(value: Any, where: str) -> int:
+def _shown(value) -> str:
+    """An input string (quoted) or integer as every diagnostic echoes it:
+    whole up to 40 characters, past that its first 40 and its length."""
+    text = str(value)
+    head = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return head if len(text) <= 40 else f"{head}... ({len(text)} characters)"
+
+
+def _decimal(text: str, rational: bool = False):
+    """The int, or with ``rational`` the Fraction, that a decimal string
+    names; a bad string raises ValueError with the reason."""
+    value = text.strip()
+    if not (_FRACTION if rational else _INTEGER).fullmatch(value):
+        kind = "a fraction 'p/q'" if rational else "a decimal integer"
+        raise ValueError(f"{_shown(text)} is not {kind}")
+    try:
+        return Fraction(value) if rational else int(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{_shown(text)} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(_too_long()) from None
+
+
+def _field(value: Any, where: str, rational: bool = False):
+    """``_decimal`` for the document field ``where``, which may also be a JSON integer."""
     if isinstance(value, bool):
-        raise InputError(f"{where}: expected an integer, got a boolean")
+        kind = "a rational" if rational else "an integer"
+        raise InputError(f"{where}: expected {kind}, got a boolean")
     if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if not _INTEGER.fullmatch(text):
-            raise InputError(f"{where}: {value!r} is not a decimal integer")
-        try:
-            return int(text)
-        except ValueError:
-            raise InputError(f"{where}: {_too_long()}") from None
-    raise InputError(f"{where}: expected an integer or decimal string")
+        return Fraction(value) if rational else value
+    if not isinstance(value, str):
+        kind = "fraction" if rational else "decimal"
+        raise InputError(f"{where}: expected an integer or {kind} string")
+    try:
+        return _decimal(value, rational)
+    except ValueError as err:
+        raise InputError(f"{where}: {err}") from None
 
 
 def _int_flag(text: str) -> int:
-    """argparse type for the integer flags: the decimal-string rule of
-    ``_parse_int``, so a bad value is a usage error (exit 2)."""
-    text = text.strip()
-    if not _INTEGER.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
+    """argparse type of the integer flags: a bad value is a usage error (exit 2)."""
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(_too_long()) from None
-
-
-def _parse_fraction(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if not _FRACTION.fullmatch(text):
-            raise InputError(f"{where}: {value!r} is not a fraction 'p/q'")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise InputError(f"{where}: {value!r} has a zero denominator") from None
-        except ValueError:
-            raise InputError(f"{where}: {_too_long()}") from None
-    raise InputError(f"{where}: expected an integer or fraction string")
+        return _decimal(text.strip())
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def load_document(text: str) -> dict:
@@ -149,7 +150,7 @@ def _parse_weights(raw_weights: list, where: str) -> list[int]:
                 weights.append(w)
             else:
                 # padded strings pass here; every other value raises
-                weights.append(_parse_int(w, f"{where}.weights[{len(weights)}]"))
+                weights.append(_field(w, f"{where}.weights[{len(weights)}]"))
     except ValueError:  # from int(w): past the interpreter's digit limit
         raise InputError(f"{where}.weights[{len(weights)}]: {_too_long()}") from None
     return weights
@@ -158,9 +159,9 @@ def _parse_weights(raw_weights: list, where: str) -> list[int]:
 def document_data(doc: dict) -> FixedPointData:
     if "n" not in doc:
         raise InputError("n: required field is missing")
-    n = _parse_int(doc["n"], "n")
+    n = _field(doc["n"], "n")
     if n < 1:
-        raise InputError(f"n: must be a positive integer, got {n}")
+        raise InputError(f"n: must be a positive integer, got {_shown(n)}")
     raw_points = doc.get("points")
     if not isinstance(raw_points, list) or not raw_points:
         raise InputError("points: a nonempty list of points is required")
@@ -177,19 +178,18 @@ def document_data(doc: dict) -> FixedPointData:
         if 0 in weights:
             raise InputError(f"{where}.weights[{weights.index(0)}]: weights must be nonzero")
         if len(weights) != n:
-            raise InputError(f"{where}.weights: expected {n} weights, got {len(weights)}")
-        sign = _parse_int(entry.get("sign", None), f"{where}.sign")
+            raise InputError(f"{where}.weights: expected {_shown(n)} weights, got {len(weights)}")
+        sign = _field(entry.get("sign", None), f"{where}.sign")
         if sign not in (1, -1):
-            raise InputError(f"{where}.sign: sign must be +1 or -1, got {sign}")
-        points.append(FixedPoint(tuple(weights), sign))
-    return FixedPointData(n, tuple(points))
+            raise InputError(f"{where}.sign: sign must be +1 or -1, got {_shown(sign)}")
+        points.append((sign, tuple(weights)))
+    return FixedPointData._from_canonical(n, points)  # every constructor check is made above
 
 
 def document_genus(doc: dict, override: Optional[str]) -> GenusSeries:
     if override is not None:
-        name = override
-        entry = doc.get("genus") if isinstance(doc.get("genus"), dict) else {}
-        if entry.get("name") != name:
+        name, entry = override, doc.get("genus")
+        if not isinstance(entry, dict) or entry.get("name") != name:
             entry = {}
     else:
         entry = doc.get("genus")
@@ -204,24 +204,19 @@ def document_genus(doc: dict, override: Optional[str]) -> GenusSeries:
     if name in ("txy", "todd"):
         if coeffs is not None:
             raise InputError(
-                f"genus.coefficients: the built-in genus {name!r} takes no coefficient list"
+                f"genus.coefficients: the built-in genus {_shown(name)} takes no coefficient list"
             )
         return TXY if name == "txy" else TODD
     if coeffs is None:
-        raise InputError(
-            f"genus.name: unknown genus {name!r} and no coefficient list given"
-        )
+        raise InputError(f"genus.name: unknown genus {_shown(name)} and no coefficient list given")
     if not isinstance(coeffs, list):
         raise InputError("genus.coefficients: expected a list of rationals")
-    values = [
-        _parse_fraction(c, f"genus.coefficients[{i}]") for i, c in enumerate(coeffs)
-    ]
+    values = [_field(c, f"genus.coefficients[{i}]", True) for i, c in enumerate(coeffs)]
     return genus_from_coefficients(name, values)
 
 
 def document_order(doc: dict, override: Optional[int], n: int) -> int:
-    order = override if override is not None else doc.get("order", DEFAULT_ORDER)
-    order = _parse_int(order, "order")
+    order = _field(doc.get("order", DEFAULT_ORDER), "order") if override is None else override
     if order < n + 1 or order > MAX_ORDER:
         raise InputError(f"order: must lie in [{n + 1}, {MAX_ORDER}]")
     return order
@@ -391,7 +386,7 @@ def _parse_sign_patterns(text: str):
     for chunk in text.split(","):
         chunk = chunk.strip()
         if any(c not in "+-" for c in chunk):
-            raise InputError(f"--signs: pattern {chunk!r} may hold only '+' and '-'")
+            raise InputError(f"--signs: pattern {_shown(chunk)} may hold only '+' and '-'")
         patterns.append(tuple(1 if c == "+" else -1 for c in chunk))
     return tuple(patterns)
 
@@ -461,23 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # name -> the command's own parser
 
-    def add_io(p):
+    def add_document_command(name, help, handler):
+        p = sub.add_parser(name, help=help)
         p.add_argument("input", nargs="?", default="-", help="JSON document path or '-' for stdin")
         p.add_argument("--format", choices=("json", "table"), default="json")
+        p.set_defaults(handler=handler)
+        return p
 
-    p_verify = sub.add_parser("verify", help="exact rigidity check")
-    add_io(p_verify)
-    p_verify.set_defaults(handler=run_verify)
-
-    p_classify = sub.add_parser("classify", help="two-point family classification")
-    add_io(p_classify)
-    p_classify.set_defaults(handler=run_classify)
-
-    p_series = sub.add_parser("series", help="truncated-series evaluation")
-    add_io(p_series)
+    add_document_command("verify", "exact rigidity check", run_verify)
+    add_document_command("classify", "two-point family classification", run_classify)
+    p_series = add_document_command("series", "truncated-series evaluation", run_series)
     p_series.add_argument("--genus", default=None, help="genus name override (txy, todd)")
     p_series.add_argument("--order", type=_int_flag, default=None, help="truncation order")
-    p_series.set_defaults(handler=run_series)
 
     p_search = sub.add_parser("search", help="exhaustive rigidity search")
     p_search.add_argument("--n", type=_int_flag, required=True, help="weights per point")

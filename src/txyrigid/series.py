@@ -156,12 +156,17 @@ class GenusSeries:
     variable as described in the module docstring).  Other genera have
     rational coefficients: ``regular_coeffs`` lists the coefficients of
     H(u)/u - 1/u starting at u^0, taken as zero beyond the list; the name
-    "todd" takes them from the Bernoulli numbers instead.
+    "todd" takes them from the Bernoulli numbers instead.  They are stored
+    as Fractions; a float raises ValueError.
     """
 
     name: str
     symbolic: bool = False
     regular_coeffs: Optional[tuple[Fraction, ...]] = None
+
+    def __post_init__(self):
+        if self.regular_coeffs is not None:
+            object.__setattr__(self, "regular_coeffs", tuple(map(_fraction, self.regular_coeffs)))
 
     def regular_coefficient(self, k: int) -> Fraction:
         if k < 0:
@@ -181,7 +186,7 @@ TODD = GenusSeries("todd")
 def genus_from_coefficients(name: str, coefficients) -> GenusSeries:
     """A rational-coefficient genus from the Taylor coefficients of
     H(u)/u - 1/u (zero beyond the given list); a float raises ValueError."""
-    return GenusSeries(name, regular_coeffs=tuple(map(_fraction, coefficients)))
+    return GenusSeries(name, regular_coeffs=tuple(coefficients))
 
 
 def _size_estimate(n: int, length: int, weights, common: int, genus: GenusSeries) -> int:

@@ -46,6 +46,9 @@ S3_12 = document(3, [((1, 2, -3), 1), ((-1, -2, 3), 1)])
 L1_4 = document(1, [((4,), 1), ((-4,), 1)])
 Z_23 = document(2, [((2, 3), 1), ((2, 3), -1)])
 NOT_RIGID = document(2, [((1, 2), 1), ((-1, -2), 1)])
+# a bad value far longer than any diagnostic may echo
+LONG_BAD = "1" * 4999 + "x"
+LONG_SHOWN = "'" + "1" * 40 + "'... (5000 characters)"
 
 
 # -- verify -------------------------------------------------------------------
@@ -123,6 +126,11 @@ def test_verify_zero_weight_is_input_error(capsys, monkeypatch):
         ("coefficients", "1.5"),
         ("coefficients", "1/-2"),
         ("coefficients", "1/0"),
+        pytest.param("weights", LONG_BAD, id="weights-long"),
+        pytest.param("sign", LONG_BAD, id="sign-long"),
+        pytest.param("coefficients", LONG_BAD, id="coefficients-long"),
+        # within the interpreter's digit limit, so the denominator is read
+        pytest.param("coefficients", "1" * 4000 + "/0", id="coefficients-long-zero"),
     ],
 )
 def test_non_decimal_strings_are_input_errors(capsys, monkeypatch, field, text):
@@ -139,6 +147,8 @@ def test_non_decimal_strings_are_input_errors(capsys, monkeypatch, field, text):
     )
     assert status == 2 and out == ""
     assert field in err
+    # one line, which shows a long value cut to 40 characters and its length
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
 
 
 def test_decimal_strings_keep_sign_and_fraction_forms(capsys, monkeypatch):
@@ -407,6 +417,51 @@ def test_series_builtin_genus_rejects_coefficients(capsys, monkeypatch, name):
     custom = document(1, [((1,), 1), ((-1,), 1)], genus={"name": "mine", "coefficients": ["5", "7"]})
     status, out, _ = run_cli(capsys, ["series", "-"], stdin=custom, monkeypatch=monkeypatch)
     assert status == 0 and json.loads(out)["constant_pretty"] == "10"
+
+
+MINE = document(1, [((1,), 1), ((-1,), 1)], genus={"name": "mine", "coefficients": ["5", "7"]})
+
+
+@pytest.mark.parametrize("name, constant", [("todd", "1"), ("mine", "10")])
+def test_series_genus_flag_overrides_the_document(capsys, monkeypatch, name, constant):
+    # the document's coefficients serve only the genus of the same name
+    argv = ["series", "-", "--genus", name, "--order", "3"]
+    status, out, _ = run_cli(capsys, argv, stdin=MINE, monkeypatch=monkeypatch)
+    assert status == 0
+    report = json.loads(out)
+    assert report["genus"] == name and report["order"] == 3
+    assert [row["pretty"] for row in report["coefficients"] if row["exp"] == 0] == [constant]
+
+
+def test_series_genus_flag_unknown_name_exits_two(capsys, monkeypatch):
+    argv = ["series", "-", "--genus", "other", "--order", "3"]
+    status, out, err = run_cli(capsys, argv, stdin=MINE, monkeypatch=monkeypatch)
+    assert (status, out) == (2, "")
+    assert err == "error: genus.name: unknown genus 'other' and no coefficient list given\n"
+
+
+@pytest.mark.parametrize(
+    "argv, doc, where",
+    [
+        (
+            ["search", "--n", "1", "--m", "2", "--max-weight", "2", "--signs", "+*" * 2500],
+            None,
+            "--signs",
+        ),
+        (
+            ["series", "-"],
+            document(1, [((4,), 1), ((-4,), 1)], genus={"name": LONG_BAD}),
+            "genus.name",
+        ),
+        (["series", "-", "--genus", LONG_BAD], L1_4, "genus.name"),
+    ],
+    ids=["signs", "genus-in-document", "genus-flag"],
+)
+def test_long_bad_names_are_echoed_cut(capsys, monkeypatch, argv, doc, where):
+    status, out, err = run_cli(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert status == 2 and out == ""
+    assert err.startswith(f"error: {where}: ") and "... (5000 characters)" in err
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
 
 
 def test_series_order_bounds(capsys, monkeypatch):
@@ -718,7 +773,7 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert len(builds) == 1
 
 
-@pytest.mark.parametrize("text", ["1_0", "\u0662", "1.5", "0x5"])
+@pytest.mark.parametrize("text", ["1_0", "\u0662", "1.5", "0x5", pytest.param(LONG_BAD, id="long")])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -730,10 +785,14 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     ],
 )
 def test_integer_flags_follow_the_decimal_rule(capsys, monkeypatch, argv, text):
+    flag = argv[argv.index("{}") - 1]
     argv = [a.format(text) for a in argv]
     status, out, err = run_cli(capsys, argv, stdin=L1_4, monkeypatch=monkeypatch)
     assert status == 2 and out == ""
     assert "is not a decimal integer" in err
+    # after argparse's usage lines, one error line names the flag
+    last = err.splitlines()[-1]
+    assert f"argument {flag}: " in last and len(last.encode()) <= 200
 
 
 def test_integer_flags_accept_a_plus_sign(capsys):
@@ -869,11 +928,39 @@ PAIR = [_point("1", "2"), _point("-1", "-2")]
         # n is checked before any point is read
         ({"n": -3, "points": [_point("1")]}, "n: must be a positive integer, got -3"),
         ({"n": "0", "points": [_point("1")]}, "n: must be a positive integer, got 0"),
+        # a bad value is echoed whole up to 40 characters, past that cut
+        (
+            {"n": "2", "points": [_point("1", "1" * 39 + "x"), PAIR[1]]},
+            f"points[0].weights[1]: '{'1' * 39}x' is not a decimal integer",
+        ),
+        (
+            {"n": "2", "points": [_point("1", LONG_BAD), PAIR[1]]},
+            f"points[0].weights[1]: {LONG_SHOWN} is not a decimal integer",
+        ),
+        ({"n": LONG_BAD, "points": PAIR}, f"n: {LONG_SHOWN} is not a decimal integer"),
+        (
+            {"n": "2", "points": [PAIR[0], _point("-1", "-2", sign=LONG_BAD)]},
+            f"points[1].sign: {LONG_SHOWN} is not a decimal integer",
+        ),
+        # so is a decimal integer out of range, shown without quotes
+        (
+            {"n": "-" + "1" * 4000, "points": PAIR},
+            f"n: must be a positive integer, got -{'1' * 39}... (4001 characters)",
+        ),
+        (
+            {"n": "1" * 4000, "points": PAIR},
+            f"points[0].weights: expected {'1' * 40}... (4000 characters) weights, got 2",
+        ),
+        (
+            {"n": "2", "points": [_point("1", "2", sign="1" * 4000), PAIR[1]]},
+            f"points[0].sign: sign must be +1 or -1, got {'1' * 40}... (4000 characters)",
+        ),
     ],
 )
 def test_document_diagnostics(capsys, monkeypatch, doc, message):
     status, out, err = run_cli(capsys, ["verify", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
     assert (status, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) <= 200
 
 
 def test_help_lists_the_commands(capsys):

@@ -1,6 +1,11 @@
 """Property tests (hypothesis, derandomized by the conftest profile)."""
 
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -9,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st
 
 from conftest import assert_matches_reference, residue_sum
+from txyrigid.cli import document_data, main
 from txyrigid.classify import (
     classify_two_points,
     make_l1,
@@ -299,3 +305,50 @@ def test_series_scaling_weights_scales_coefficients(data, c):
         assert image.coeffs == tuple(
             coeff * Fraction(c) ** k for k, coeff in enumerate(base.coeffs, base.lowest)
         )
+
+
+@st.composite
+def point_specs(draw):
+    """n and (weights, sign) pairs with up to two defects: n <= 0, no
+    points, a point without weights, a zero weight, a wrong weight count
+    or a sign other than +-1.  Each value is a JSON integer or a string."""
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(_weights(n, 2), SIGNS), min_size=1, max_size=3))
+    for defect in draw(st.lists(st.sampled_from(range(6)), max_size=2)):
+        if not points:
+            break
+        i = draw(st.integers(0, len(points) - 1))
+        weights, sign = points[i]
+        if defect == 0:
+            n = draw(st.integers(-1, 0))
+        elif defect == 1:
+            points = []
+        elif defect == 2:
+            points[i] = ([], sign)
+        elif defect == 3 and weights:
+            weights[draw(st.integers(0, len(weights) - 1))] = 0
+        elif defect == 4:
+            points[i] = (weights + [1] if draw(st.booleans()) else weights[1:], sign)
+        elif defect == 5:
+            points[i] = (weights, draw(st.sampled_from((0, 2, -3))))
+    return n, points, draw(st.sampled_from((str, int)))
+
+
+@given(point_specs())
+def test_document_data_accepts_what_the_constructors_accept(spec):
+    # document_data makes the constructors' checks itself and skips theirs
+    n, points, form = spec
+    doc = {
+        "n": form(n),
+        "points": [{"weights": list(map(form, ws)), "sign": form(s)} for ws, s in points],
+    }
+    try:
+        data = FixedPointData(n, [FixedPoint(tuple(ws), s) for ws, s in points])
+    except ValueError:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))):
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                assert main(["verify", "-"]) == 2
+        assert stdout.getvalue() == "" and stderr.getvalue().startswith("error: ")
+    else:
+        assert document_data(doc) == data

@@ -176,6 +176,18 @@ def test_custom_genus_refuses_floats(coefficients):
         genus_from_coefficients("floats", coefficients)
 
 
+def test_genus_series_reads_its_own_coefficients():
+    # built directly, not through genus_from_coefficients
+    with pytest.raises(ValueError, match="is a float; only exact rationals are accepted"):
+        GenusSeries("floats", regular_coeffs=(0.1,))
+    genus = GenusSeries("ints", regular_coeffs=[5, 7])
+    assert genus.regular_coeffs == (Fraction(5), Fraction(7))
+    assert all(type(c) is Fraction for c in genus.regular_coeffs)
+    assert genus_series(make_l1(2), genus, 6) == genus_series(
+        make_l1(2), genus_from_coefficients("ints", [Fraction(5), Fraction(7)]), 6
+    )
+
+
 def test_unknown_genus_has_no_rule():
     with pytest.raises(ValueError):
         GenusSeries("mystery").regular_coefficient(0)
