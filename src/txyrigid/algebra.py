@@ -12,10 +12,11 @@ Conventions shared by the whole package:
 * every value is immutable once constructed and safe to share between
   threads or worker processes.
 
-``LaurentZ`` holds one ``{x-exponent: int}`` map per z-coefficient and
-multiplies term by term.  The package no longer uses it: it is the
-reference kernel the tests compare ``genera.PackedDefect`` against, and
-the benchmark's kernel counters patch its products.
+``PolyXY`` holds the constants that reports carry and is the ring the
+tests compute reference series with.  ``LaurentZ``, one ``{x-exponent:
+int}`` map per z-coefficient multiplied term by term, and ``SeriesU.__mul__``
+run nowhere in the package: they are the tests' reference kernels, and
+the benchmark's kernel counters patch their products.
 """
 
 from __future__ import annotations
@@ -89,28 +90,9 @@ class PolyXY:
         return cls._raw({})
 
     @classmethod
-    def one(cls) -> "PolyXY":
-        return cls._raw({(0, 0): Fraction(1)})
-
-    @classmethod
-    def x(cls) -> "PolyXY":
-        return cls._raw({(1, 0): Fraction(1)})
-
-    @classmethod
-    def y(cls) -> "PolyXY":
-        return cls._raw({(0, 1): Fraction(1)})
-
-    @classmethod
     def const(cls, c: Scalar) -> "PolyXY":
         c = _fraction(c)
         return cls._raw({(0, 0): c} if c else {})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: Scalar = 1) -> "PolyXY":
-        c = _fraction(c)
-        if i < 0 or j < 0:
-            raise ValueError("monomial exponents must be nonnegative")
-        return cls._raw({(i, j): c} if c else {})
 
     # -- queries ---------------------------------------------------------
 
@@ -120,15 +102,9 @@ class PolyXY:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
-
     def sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
         """Terms in the canonical (x-exponent, y-exponent) order."""
         return sorted(self.terms.items())
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(i + j == degree for i, j in self.terms)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -161,8 +137,6 @@ class PolyXY:
                 del out[key]
         return PolyXY._raw(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "PolyXY":
         return PolyXY._raw({key: -c for key, c in self.terms.items()})
 
@@ -171,9 +145,6 @@ class PolyXY:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "PolyXY":
-        return -(self - other)
 
     def __mul__(self, other) -> "PolyXY":
         other = self._coerce(other)
@@ -194,20 +165,6 @@ class PolyXY:
         return PolyXY._raw(out)
 
     __rmul__ = __mul__
-
-    # -- substitutions ---------------------------------------------------
-
-    def substitute(self, x0: Scalar, y0: Scalar) -> Fraction:
-        """Evaluate at rational x0, y0."""
-        x0, y0 = _fraction(x0), _fraction(y0)
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * x0**i * y0**j
-        return total
-
-    def swap_xy(self) -> "PolyXY":
-        """Exchange the roles of x and y."""
-        return PolyXY._raw({(j, i): c for (i, j), c in self.terms.items()})
 
     # -- rendering -------------------------------------------------------
 

@@ -47,7 +47,7 @@ from typing import Any, Optional
 from .algebra import PolyXY, format_terms
 from .classify import ProofTrace, classify_two_points, pairing_check, replay_proof
 from .genera import FixedPointData, is_rigid
-from .search import SearchParams, SearchResult, search_rigid
+from .search import SearchParams, SearchResult, _shown, search_rigid
 from .series import GenusSeries, TODD, TXY, genus_from_coefficients, genus_series, series_is_constant
 
 DEFAULT_ORDER = 12
@@ -69,14 +69,6 @@ def _too_long() -> str:
     # int(), Fraction() and str() raise ValueError past this many digits
     limit = sys.get_int_max_str_digits()
     return f"an integer of more than {limit} digits, the interpreter's limit for integer strings"
-
-
-def _shown(value) -> str:
-    """An input string (quoted) or integer as every diagnostic echoes it:
-    whole up to 40 characters, past that its first 40 and its length."""
-    text = str(value)
-    head = repr(text[:40]) if isinstance(value, str) else text[:40]
-    return head if len(text) <= 40 else f"{head}... ({len(text)} characters)"
 
 
 def _decimal(text: str, rational: bool = False):
@@ -262,7 +254,7 @@ def _read_input(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as err:
-        raise InputError(f"input: cannot read {path}: {err.strerror}") from None
+        raise InputError(f"input: cannot read {_shown(path, quote=False)}: {err.strerror}") from None
 
 
 # -- commands ---------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import index
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .algebra import PolyXY
 
@@ -192,9 +192,10 @@ def weight_gcd(data: FixedPointData) -> int:
     return gcd(*[gcd(*p.weights) for p in data.points])
 
 
-def _shared_factors(magnitudes: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+def _shared_factors(magnitudes: list[list[int]]) -> tuple[list[int], Iterable[list[int]]]:
     """The least common multiset of the points' sorted weight magnitudes,
-    and what each point lacks of it; paired data lack nothing."""
+    and what each point lacks of it, built as it is read; paired data lack
+    nothing."""
     first = magnitudes[0]
     if magnitudes.count(first) == len(magnitudes):
         return first, [[]] * len(magnitudes)
@@ -203,9 +204,9 @@ def _shared_factors(magnitudes: list[list[int]]) -> tuple[list[int], list[list[i
         for a in mine:
             most[a] = max(most.get(a, 0), mine.count(a))
     shared = [a for a, k in most.items() for _ in range(k)]
-    return shared, [
+    return shared, (
         [a for a, k in most.items() for _ in range(k - mine.count(a))] for mine in magnitudes
-    ]
+    )
 
 
 def _split_slots(value: int, bits: int, digits: int) -> dict[int, int]:
@@ -333,6 +334,7 @@ def rigidity_defect(data: FixedPointData, coeffs: Optional[list[int]] = None) ->
     z-coefficients (``_times_binomial``).
     """
     n = data.n
+    # extra is lazy: no point's extras are listed before the guard
     shared, extra = _shared_factors([sorted(map(abs, p.weights)) for p in data.points])
     degree = sum(shared)
     # every point's own factors plus its extras are the shared multiset,

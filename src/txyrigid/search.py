@@ -85,6 +85,15 @@ PointKey = tuple[int, tuple[int, ...]]
 DataKey = tuple[PointKey, ...]
 
 
+def _shown(value, quote: bool = True) -> str:
+    """An input string (quoted unless ``quote`` is False) or integer as
+    every diagnostic echoes it: whole up to 40 characters, past that its
+    first 40 and its length."""
+    text = str(value)
+    head = repr(text[:40]) if quote and isinstance(value, str) else text[:40]
+    return head if len(text) <= 40 else f"{head}... ({len(text)} characters)"
+
+
 def _capped_comb(total: int, k: int, cap: int) -> int:
     """comb(total, k) when it is at most cap, else a number between cap and
     comb(total, k), found without computing the full value."""
@@ -132,14 +141,14 @@ class SearchParams:
             raise ValueError("max_abs_weight must be nonnegative")
         for p in patterns or ():
             if len(p) != self.m or any(s not in (1, -1) for s in p):
-                raise ValueError(f"each sign pattern needs m = {self.m} entries of +1/-1")
+                raise ValueError(f"each sign pattern needs m = {_shown(self.m)} entries of +1/-1")
         cap = MAX_SEARCH_WORK
         points = 2 * _capped_comb(2 * self.max_abs_weight + self.n - 1, self.n, cap)
         work = points + _capped_comb(points + self.m - 2, self.m - 1, cap)
         if work > cap:
             raise ValueError(
-                f"the bounds give at least {work} join steps ({points} point"
-                f" residues plus one lookup per {self.m - 1}-point prefix),"
+                f"the bounds give at least {_shown(work)} join steps ({_shown(points)} point"
+                f" residues plus one lookup per {_shown(self.m - 1)}-point prefix),"
                 f" above the bound {cap}"
             )
 
@@ -225,7 +234,10 @@ def _enumerate_shard(
 ) -> Iterator[DataKey]:
     """The canonical keys in order, sharded by the next-to-last point (the
     only one for m = 1), whose table index is = shard mod shards; with
-    ``_join`` just those whose point residues sum to 0 mod MODULUS."""
+    ``_join`` just those whose point residues sum to 0 mod MODULUS.  With
+    no weights the table is empty, and nothing is built for any n and m."""
+    if not params.max_abs_weight:
+        return
     points, negated = _table(params)
     signs = _sign_multisets(params)
     residues = _residues(points, params.max_abs_weight) if _join else [0] * len(points)
@@ -257,7 +269,10 @@ def _count_classes(params: SearchParams) -> int:
     multisets, fixed by their n / 2 positive weights) and t pairs
     {q, -q}: |X_k| = M(P, k) M(P, m - k) for M the multiset count, and a
     fixed multiset takes c points of one sign in [u^c] (1 - u)^-s
-    (1 - u^2)^-t ways.  E is evaluated once per distinct quotient."""
+    (1 - u^2)^-t ways.  E is evaluated once per distinct quotient.  With
+    no weights there are no points, so no classes for any n and m."""
+    if not params.max_abs_weight:
+        return 0
     n, m = params.n, params.m
     signs = _sign_multisets(params)
     plus_counts = [k for k in range(m + 1) if signs is None or (-1,) * (m - k) + (1,) * k in signs]
@@ -355,7 +370,7 @@ def search_rigid(params: SearchParams, jobs: int = 1) -> SearchOutcome:
     ``jobs`` must be at least 1; at most ``os.cpu_count()`` worker
     processes run, however large it is."""
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise ValueError(f"jobs must be at least 1, got {_shown(jobs)}")
     shards = min(jobs, os.cpu_count() or 1)
     tasks = [(params, i, shards) for i in range(shards)]
     if shards == 1:

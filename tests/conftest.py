@@ -1,12 +1,13 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd
 from operator import or_
 
 from txyrigid import FixedPoint, FixedPointData
-from txyrigid.algebra import LaurentZ
+from txyrigid.algebra import LaurentZ, PolyXY
 from txyrigid.genera import ah_constant, rigidity_defect
 from txyrigid.search import MODULUS, _enumerate_shard, _ratios
 
@@ -84,6 +85,21 @@ def residue_sum(data: FixedPointData) -> int:
             value = value * ratios[w] % MODULUS
         total += value - p.sign * 2**p.s_plus * (-1) ** p.s_minus
     return total % MODULUS
+
+
+def substitute(poly: PolyXY, x0, y0) -> Fraction:
+    """The polynomial's value at rational x0, y0."""
+    x0, y0 = Fraction(x0), Fraction(y0)
+    return sum((c * x0**i * y0**j for (i, j), c in poly.terms.items()), Fraction(0))
+
+
+def swap_xy(poly: PolyXY) -> PolyXY:
+    """The polynomial with the roles of x and y exchanged."""
+    return PolyXY({(j, i): c for (i, j), c in poly.terms.items()})
+
+
+def is_homogeneous(poly: PolyXY, degree: int) -> bool:
+    return all(i + j == degree for i, j in poly.terms)
 
 
 def reference_defect(data: FixedPointData) -> LaurentZ:

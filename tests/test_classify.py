@@ -21,8 +21,8 @@ from txyrigid.cli import main
 from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, pairs_off, rigidity_defect
 from txyrigid.search import SearchParams, enumerate_data
 
-X = PolyXY.x()
-Y = PolyXY.y()
+X = PolyXY({(1, 0): 1})
+Y = PolyXY({(0, 1): 1})
 
 
 # -- constructors --------------------------------------------------------------

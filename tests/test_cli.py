@@ -196,6 +196,25 @@ def test_verify_work_guard_exits_two_fast(capsys, monkeypatch):
     assert "work estimate" in err and "exceeds the bound" in err
 
 
+def test_verify_work_guard_on_many_points_exits_two_fast(capsys, monkeypatch):
+    # the guard runs before any point's missing factors are listed, work
+    # that grows with the points times their distinct magnitudes
+    doc = document(1, [((w,), 1) for w in range(1, 20001)])
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["verify", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert (status, out) == (2, "")
+    assert err.startswith("error: defect work estimate ") and "exceeds the bound 67108864" in err
+    # the series cross-check's exact check refuses the same way
+    doc = document(1, [((w,), 1) for w in range(1, 5001)])
+    start = time.perf_counter()
+    argv = ["series", "-", "--order", "2"]
+    status, out, err = run_cli(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert (status, out) == (2, "")
+    assert err.startswith("error: defect work estimate ")
+
+
 def test_series_work_guard_exits_two_fast(capsys, monkeypatch):
     weights = [2**i for i in range(30)]
     doc = document(30, [(weights, 1), ([-w for w in weights], 1)])
@@ -441,26 +460,42 @@ def test_series_genus_flag_unknown_name_exits_two(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, doc, where",
+    "argv, doc, prefix",
     [
         (
             ["search", "--n", "1", "--m", "2", "--max-weight", "2", "--signs", "+*" * 2500],
             None,
-            "--signs",
+            "--signs: pattern '" + "+*" * 20 + "'... (5000 characters) may hold",
         ),
         (
             ["series", "-"],
             document(1, [((4,), 1), ((-4,), 1)], genus={"name": LONG_BAD}),
-            "genus.name",
+            f"genus.name: unknown genus {LONG_SHOWN} and",
         ),
-        (["series", "-", "--genus", LONG_BAD], L1_4, "genus.name"),
+        (["series", "-", "--genus", LONG_BAD], L1_4, f"genus.name: unknown genus {LONG_SHOWN} and"),
+        # integers stay within the interpreter's digit limit, so 4000 digits
+        (
+            ["search", "--n", "1", "--m", "2", "--max-weight", "1", "--jobs", "-" + "1" * 3999],
+            None,
+            "jobs must be at least 1, got -" + "1" * 39 + "... (4000 characters)\n",
+        ),
+        (
+            ["search", "--n", "1", "--m", "1" * 4000, "--max-weight", "0", "--signs", "+"],
+            None,
+            "search parameters: each sign pattern needs m = " + "1" * 40 + "... (4000 characters) entries",
+        ),
+        (
+            ["verify", "/nonexistent/" + "1" * 4987],
+            None,
+            "input: cannot read /nonexistent/" + "1" * 27 + "... (5000 characters): ",
+        ),
     ],
-    ids=["signs", "genus-in-document", "genus-flag"],
+    ids=["signs", "genus-in-document", "genus-flag", "jobs", "pattern-length", "input-path"],
 )
-def test_long_bad_names_are_echoed_cut(capsys, monkeypatch, argv, doc, where):
+def test_long_bad_names_are_echoed_cut(capsys, monkeypatch, argv, doc, prefix):
     status, out, err = run_cli(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
     assert status == 2 and out == ""
-    assert err.startswith(f"error: {where}: ") and "... (5000 characters)" in err
+    assert err.startswith(f"error: {prefix}")
     assert err.count("\n") == 1 and len(err.encode()) <= 200
 
 
@@ -496,6 +531,14 @@ def test_search_n1_m1_finds_nothing(capsys):
     assert len(lines) == 1
     assert lines[0]["type"] == "summary"
     assert lines[0]["rigid"] == 0
+    # with no weights there is nothing to build, however large n and m are
+    for n, m in (("1", "100000"), ("1" * 30, "1"), ("1", "1" * 24)):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, ["search", "--n", n, "--m", m, "--max-weight", "0"])
+        assert time.perf_counter() - start < 1.0
+        assert (status, err) == (0, "")
+        summary = json.loads(out)
+        assert summary["candidates"] == summary["checked"] == summary["rigid"] == 0
 
 
 def test_search_sign_pattern_flag(capsys):

@@ -12,6 +12,7 @@ from txyrigid.search import (
     MODULUS,
     ORDER_OF_3,
     SearchParams,
+    SearchSummary,
     _count_classes,
     _enumerate_shard,
     _negate_point,
@@ -261,6 +262,13 @@ def test_enumerate_single_point_classes():
 
 def test_enumerate_empty_for_zero_bound():
     assert list(enumerate_data(SearchParams(n=1, m=2, max_abs_weight=0))) == []
+    # with no points nothing is built, for any n and m
+    for n, m in ((1, 10**5), (10**30, 1), (1, 10**24), (2, 10**24)):
+        for effective in (False, True):
+            params = SearchParams(n=n, m=m, max_abs_weight=0, require_effective=effective)
+            assert list(enumerate_data(params)) == []
+            assert _count_classes(params) == 0
+            assert search_rigid(params).summary == SearchSummary(0, 0, 0)
 
 
 def test_enumerate_effective_only():
@@ -487,7 +495,7 @@ def test_search_three_points_reports_unclassified():
     # monomial sum (hand computation: x^2, -x*y, y^2)
     from txyrigid.algebra import PolyXY
 
-    x, y = PolyXY.x(), PolyXY.y()
+    x, y = PolyXY({(1, 0): 1}), PolyXY({(0, 1): 1})
     data = FixedPointData(
         2,
         (
