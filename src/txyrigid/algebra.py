@@ -10,7 +10,9 @@ Conventions shared by the whole package:
 * sparse maps never store a zero coefficient, so structural equality
   is semantic equality,
 * every value is immutable once constructed and safe to share between
-  threads or worker processes.
+  threads or worker processes: a ``Record`` raises AttributeError on any
+  assignment or deletion, and no method changes the ``terms`` of a
+  ``PolyXY`` or ``LaurentZ``.
 
 ``PolyXY`` holds the constants that reports carry and is the ring the
 tests compute reference series with.  ``LaurentZ``, one ``{x-exponent:
@@ -21,11 +23,45 @@ the benchmark's kernel counters patch their products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
+
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable value whose ``_fields`` are the parameters of its class's
+    ``__init__``, in order, each set once there through ``_set``.  Assigning
+    or deleting an attribute raises AttributeError, equality compares the
+    fields of two instances of one class, the hash is that of the field
+    values, and the repr reads like a dataclass's."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _fraction(value) -> Fraction:
@@ -271,8 +307,7 @@ class LaurentZ:
 _ZERO_POLY = PolyXY.zero()
 
 
-@dataclass(frozen=True)
-class SeriesU:
+class SeriesU(Record):
     """Truncated Laurent series: PolyXY coefficients for the exponents
     ``lowest`` .. ``order - 1``.
 
@@ -281,15 +316,14 @@ class SeriesU:
     both factors determine.
     """
 
-    lowest: int
-    order: int
-    coeffs: tuple[PolyXY, ...]
-
-    def __post_init__(self):
-        if self.order < self.lowest:
+    def __init__(self, lowest: int, order: int, coeffs: tuple[PolyXY, ...]):
+        if order < lowest:
             raise ValueError("order must be at least lowest")
-        if len(self.coeffs) != self.order - self.lowest:
+        if len(coeffs) != order - lowest:
             raise ValueError("coefficient count does not match the exponent range")
+        _set(self, "lowest", lowest)
+        _set(self, "order", order)
+        _set(self, "coeffs", coeffs)
 
     def coeff(self, k: int) -> PolyXY:
         if k < self.lowest:

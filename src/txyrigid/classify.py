@@ -25,15 +25,14 @@ defect but whether it is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Optional, Sequence
 
+from .algebra import Record, _set
 from .genera import FixedPoint, FixedPointData, pairs_off, rigidity_defect
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(Record):
     """Classification outcome for two-point data.
 
     ``kind`` is one of "Z", "L1", "S3", "NotRigid", "RigidUnclassified";
@@ -41,8 +40,9 @@ class FamilyTag:
     never expected to occur.
     """
 
-    kind: str
-    params: tuple[int, ...] = ()
+    def __init__(self, kind: str, params: tuple[int, ...] = ()):
+        _set(self, "kind", kind)
+        _set(self, "params", params)
 
 
 NOT_RIGID = FamilyTag("NotRigid")
@@ -123,8 +123,7 @@ def classify_two_points(data: FixedPointData) -> FamilyTag:
     return NOT_RIGID
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(Record):
     """Record of the two-point classification argument on one candidate.
 
     ``a_values`` are the lead point's positive weights (largest first) and
@@ -157,17 +156,22 @@ class ProofTrace:
     and final_form is None.
     """
 
-    paired: bool
-    negation_pairing: bool
-    max_weight_tie: bool
-    n1_shortcut: bool
-    k: int
-    l: int
-    a_values: tuple[int, ...]
-    b_values: tuple[int, ...]
-    balance_holds: bool
-    max_rule_holds: bool
-    final_form: Optional[tuple[int, int, bool]]
+    def __init__(
+        self, paired: bool, negation_pairing: bool, max_weight_tie: bool, n1_shortcut: bool,
+        k: int, l: int, a_values: tuple[int, ...], b_values: tuple[int, ...],
+        balance_holds: bool, max_rule_holds: bool, final_form: Optional[tuple[int, int, bool]],
+    ):
+        _set(self, "paired", paired)
+        _set(self, "negation_pairing", negation_pairing)
+        _set(self, "max_weight_tie", max_weight_tie)
+        _set(self, "n1_shortcut", n1_shortcut)
+        _set(self, "k", k)
+        _set(self, "l", l)
+        _set(self, "a_values", a_values)
+        _set(self, "b_values", b_values)
+        _set(self, "balance_holds", balance_holds)
+        _set(self, "max_rule_holds", max_rule_holds)
+        _set(self, "final_form", final_form)
 
 
 def replay_proof(data: FixedPointData) -> ProofTrace:

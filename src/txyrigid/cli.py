@@ -57,6 +57,8 @@ MAX_ORDER = 200
 # decimal strings: ASCII digits only, so no '_' separators or other scripts
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _FRACTION = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# a token of more than 40 characters that _shown has not cut already
+_LONG_TOKEN = re.compile(r"(?<!\S)\S{41,}(?!\S)(?! \(\d+ characters\))")
 # one encoder for every report (json.dumps builds one per call); no cycles
 _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
@@ -440,8 +442,16 @@ def run_search(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """The parser of the CLI and, through ``parser_class``, of its commands:
+    a usage error cuts each long token of its message as ``_shown`` does."""
+
+    def error(self, message):
+        super().error(_LONG_TOKEN.sub(lambda token: _shown(token[0], quote=False), message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="txyrigid",
         description="Exact rigidity checker and search for circle-action fixed-point data",
     )

@@ -29,13 +29,12 @@ tests' reference kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import index
 from typing import Iterable, Mapping, Optional, Union
 
-from .algebra import PolyXY
+from .algebra import PolyXY, Record, _set
 
 # Work guard: rigidity_defect refuses data when its upper bound on the
 # coefficient products of the expansion exceeds this.  Two negated points
@@ -55,26 +54,22 @@ MAX_DEFECT_WORK = 1 << 26
 MAX_DENSE_BITS = 1 << 19
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(Record):
     """One isolated fixed point: its integer rotation weights and its sign."""
 
-    weights: tuple[int, ...]
-    sign: int
-
-    def __post_init__(self):
+    def __init__(self, weights: tuple[int, ...], sign: int):
         try:
-            weights, sign = tuple(map(index, self.weights)), index(self.sign)
+            weights, sign = tuple(map(index, weights)), index(sign)
         except TypeError:
             raise ValueError("weights and sign must be integers") from None
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "sign", sign)
-        if not self.weights:
+        if not weights:
             raise ValueError("a fixed point needs at least one weight")
-        if 0 in self.weights:
+        if 0 in weights:
             raise ValueError("weights must be nonzero integers")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        _set(self, "weights", weights)
+        _set(self, "sign", sign)
 
     @property
     def s_plus(self) -> int:
@@ -85,36 +80,31 @@ class FixedPoint:
         return sum(1 for w in self.weights if w < 0)
 
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(Record):
     """Candidate data: n weights per point (half the real dimension) and a
     nonempty list of fixed points."""
 
-    n: int
-    points: tuple[FixedPoint, ...]
-
-    def __post_init__(self):
+    def __init__(self, n: int, points: tuple[FixedPoint, ...]):
         try:
-            n = index(self.n)
+            n = index(n)
         except TypeError:
             raise ValueError("n must be an integer") from None
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.n < 1:
+        points = tuple(points)
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        if not self.points:
+        if not points:
             raise ValueError("at least one fixed point is required")
-        for p in self.points:
-            if len(p.weights) != self.n:
-                raise ValueError(
-                    f"every point needs exactly {self.n} weights, got {len(p.weights)}"
-                )
+        for p in points:
+            if len(p.weights) != n:
+                raise ValueError(f"every point needs exactly {n} weights, got {len(p.weights)}")
+        _set(self, "n", n)
+        _set(self, "points", points)
 
     @classmethod
     def _from_canonical(cls, n: int, key) -> "FixedPointData":
         """Data from (sign, weights) pairs already known valid, as the search's
         keys are; skips the checks of both public constructors."""
-        put = object.__setattr__  # reading __dict__ would build one per object
+        put = _set  # reading __dict__ would build one per object
         points = []
         for sign, weights in key:
             point = object.__new__(FixedPoint)
@@ -131,8 +121,7 @@ class FixedPointData:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(Record):
     """Outcome of the exact rigidity check on one candidate.
 
     rigid holds exactly when the defect is the zero Laurent polynomial, in
@@ -142,12 +131,16 @@ class GenusReport:
     necessary condition.
     """
 
-    rigid: bool
-    constant: Optional[PolyXY]
-    defect: PackedDefect
-    ah_constant: PolyXY
-    limits_symmetric: bool
-    weight_gcd: int
+    def __init__(
+        self, rigid: bool, constant: Optional[PolyXY], defect: PackedDefect,
+        ah_constant: PolyXY, limits_symmetric: bool, weight_gcd: int,
+    ):
+        _set(self, "rigid", rigid)
+        _set(self, "constant", constant)
+        _set(self, "defect", defect)
+        _set(self, "ah_constant", ah_constant)
+        _set(self, "limits_symmetric", limits_symmetric)
+        _set(self, "weight_gcd", weight_gcd)
 
 
 def _ah_coefficients(data: FixedPointData) -> list[int]:

@@ -60,13 +60,13 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress
 from math import comb, gcd, prod
 from operator import index, itemgetter, neg
 from typing import Iterator, Optional
 
+from .algebra import Record, _set
 from .classify import FamilyTag, classify_two_points, pairing_check
 from .genera import FixedPointData, GenusReport, is_rigid, limit_symmetry
 
@@ -108,8 +108,7 @@ def _capped_comb(total: int, k: int, cap: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class SearchParams:
+class SearchParams(Record):
     """Bounds and options for one enumeration run.
 
     ``sign_patterns`` is None for all sign assignments, or an explicit
@@ -119,38 +118,38 @@ class SearchParams:
     ValueError; the weights they admit stay far below ORDER_OF_3.
     """
 
-    n: int
-    m: int
-    max_abs_weight: int
-    sign_patterns: Optional[tuple[tuple[int, ...], ...]] = None
-    require_effective: bool = False
-
-    def __post_init__(self):
-        patterns = self.sign_patterns
+    def __init__(
+        self, n: int, m: int, max_abs_weight: int,
+        sign_patterns: Optional[tuple[tuple[int, ...], ...]] = None,
+        require_effective: bool = False,
+    ):
         try:
-            bounds = tuple(map(index, (self.n, self.m, self.max_abs_weight)))
-            if patterns is not None:
-                patterns = tuple(tuple(map(index, p)) for p in patterns)
+            n, m, max_abs_weight = map(index, (n, m, max_abs_weight))
+            if sign_patterns is not None:
+                sign_patterns = tuple(tuple(map(index, p)) for p in sign_patterns)
         except TypeError:
             raise ValueError("the bounds and sign entries must be integers") from None
-        for name, value in zip(("n", "m", "max_abs_weight", "sign_patterns"), (*bounds, patterns)):
-            object.__setattr__(self, name, value)
-        if self.n < 1 or self.m < 1:
+        if n < 1 or m < 1:
             raise ValueError("n and m must be positive")
-        if self.max_abs_weight < 0:
+        if max_abs_weight < 0:
             raise ValueError("max_abs_weight must be nonnegative")
-        for p in patterns or ():
-            if len(p) != self.m or any(s not in (1, -1) for s in p):
-                raise ValueError(f"each sign pattern needs m = {_shown(self.m)} entries of +1/-1")
+        for p in sign_patterns or ():
+            if len(p) != m or any(s not in (1, -1) for s in p):
+                raise ValueError(f"each sign pattern needs m = {_shown(m)} entries of +1/-1")
         cap = MAX_SEARCH_WORK
-        points = 2 * _capped_comb(2 * self.max_abs_weight + self.n - 1, self.n, cap)
-        work = points + _capped_comb(points + self.m - 2, self.m - 1, cap)
+        points = 2 * _capped_comb(2 * max_abs_weight + n - 1, n, cap)
+        work = points + _capped_comb(points + m - 2, m - 1, cap)
         if work > cap:
             raise ValueError(
                 f"the bounds give at least {_shown(work)} join steps ({_shown(points)} point"
-                f" residues plus one lookup per {_shown(self.m - 1)}-point prefix),"
+                f" residues plus one lookup per {_shown(m - 1)}-point prefix),"
                 f" above the bound {cap}"
             )
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "max_abs_weight", max_abs_weight)
+        _set(self, "sign_patterns", sign_patterns)
+        _set(self, "require_effective", require_effective)
 
 
 def _negate_point(point: PointKey) -> PointKey:
@@ -322,18 +321,18 @@ def prune(data: FixedPointData) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    data: FixedPointData
-    report: GenusReport
-    family: Optional[FamilyTag]
+class SearchResult(Record):
+    def __init__(self, data: FixedPointData, report: GenusReport, family: Optional[FamilyTag]):
+        _set(self, "data", data)
+        _set(self, "report", report)
+        _set(self, "family", family)
 
 
-@dataclass(frozen=True)
-class SearchSummary:
-    candidates: int
-    checked: int
-    rigid: int
+class SearchSummary(Record):
+    def __init__(self, candidates: int, checked: int, rigid: int):
+        _set(self, "candidates", candidates)
+        _set(self, "checked", checked)
+        _set(self, "rigid", rigid)
 
     @property
     def pruned(self) -> int:
@@ -341,10 +340,10 @@ class SearchSummary:
         return self.candidates - self.checked
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    results: tuple[SearchResult, ...]
-    summary: SearchSummary
+class SearchOutcome(Record):
+    def __init__(self, results: tuple[SearchResult, ...], summary: SearchSummary):
+        _set(self, "results", results)
+        _set(self, "summary", summary)
 
 
 def _search_shard(args) -> tuple[list, int]:

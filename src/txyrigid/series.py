@@ -49,13 +49,12 @@ retained order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Optional
 
-from .algebra import PolyXY, SeriesU, _fraction
+from .algebra import PolyXY, Record, SeriesU, _fraction, _set
 from .genera import FixedPointData
 
 # Work guard: genus_series refuses data when its bound on the coefficient
@@ -147,8 +146,7 @@ def _mul_add(acc: list[int], a, b) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class GenusSeries:
+class GenusSeries(Record):
     """A genus presented through the expansion of H(u)/u about u = 0.
 
     The expansion always starts u^{-1} with residue 1.  ``symbolic`` marks
@@ -160,13 +158,15 @@ class GenusSeries:
     as Fractions; a float raises ValueError.
     """
 
-    name: str
-    symbolic: bool = False
-    regular_coeffs: Optional[tuple[Fraction, ...]] = None
-
-    def __post_init__(self):
-        if self.regular_coeffs is not None:
-            object.__setattr__(self, "regular_coeffs", tuple(map(_fraction, self.regular_coeffs)))
+    def __init__(
+        self, name: str, symbolic: bool = False,
+        regular_coeffs: Optional[tuple[Fraction, ...]] = None,
+    ):
+        if regular_coeffs is not None:
+            regular_coeffs = tuple(map(_fraction, regular_coeffs))
+        _set(self, "name", name)
+        _set(self, "symbolic", symbolic)
+        _set(self, "regular_coeffs", regular_coeffs)
 
     def regular_coefficient(self, k: int) -> Fraction:
         if k < 0:

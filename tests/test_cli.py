@@ -1038,6 +1038,40 @@ def test_usage_errors_name_the_parser(capsys, argv, last_line):
     assert err.splitlines()[-1] == last_line
 
 
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (
+            ["search", "--n", "1", "--m", "2", "--max-weight", "1", "--format", "x" + "1" * 4000],
+            "txyrigid search: error: argument --format: invalid choice: '"
+            + "x" + "1" * 38 + "... (4003 characters) (choose from 'json', 'table')",
+        ),
+        (
+            ["verify", "-", "x" + "1" * 4000],
+            "txyrigid verify: error: unrecognized arguments: x" + "1" * 39 + "... (4001 characters)",
+        ),
+        (
+            ["verify", "-", "--formatt=x" + "1" * 4000],
+            "txyrigid verify: error: unrecognized arguments: --formatt=x"
+            + "1" * 29 + "... (4011 characters)",
+        ),
+        # a value the package has cut already is not cut again
+        (
+            ["search", "--n", "x" + "1" * 4000, "--m", "2", "--max-weight", "1"],
+            "txyrigid search: error: argument --n: 'x" + "1" * 39
+            + "'... (4001 characters) is not a decimal integer",
+        ),
+    ],
+    ids=["invalid-choice", "unrecognized", "unrecognized-option", "type-error"],
+)
+def test_usage_errors_echo_long_values_cut(capsys, argv, last_line):
+    status, out, err = run_cli(capsys, argv)
+    assert status == 2 and out == ""
+    assert err.startswith("usage: txyrigid")
+    assert err.splitlines()[-1] == last_line
+    assert len(err.encode()) < 400
+
+
 def test_command_help_exits_zero(capsys):
     status, out, _ = run_cli(capsys, ["series", "--help"])
     assert status == 0
