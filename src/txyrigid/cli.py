@@ -29,8 +29,8 @@ Data whose exact check or series would exceed its work bound
 (``genera.MAX_DEFECT_WORK``, ``series.MAX_SERIES_WORK``) or its size
 bounds (``series.MAX_SERIES_BITS`` and the interpreter's int-to-str digit
 limit) is an input error, as are search bounds whose join work exceeds
-``search.MAX_SEARCH_WORK`` and ``search --jobs`` below 1; the search runs
-at most ``os.cpu_count()`` workers whatever ``--jobs`` asks for.
+``search.MAX_SEARCH_WORK`` and ``search --jobs`` below 1.  Every search
+runs in one process; ``--jobs`` is read and checked but changes nothing.
 """
 
 from __future__ import annotations
@@ -250,13 +250,16 @@ def emit(fmt: str, reports, table) -> None:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    name = "stdin" if path == "-" else _shown(path, quote=False)
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as err:
-        raise InputError(f"input: cannot read {_shown(path, quote=False)}: {err.strerror}") from None
+        raise InputError(f"input: cannot read {name}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise InputError(f"input: {name} is not UTF-8 text (byte {err.start})") from None
 
 
 # -- commands ---------------------------------------------------------------
@@ -410,7 +413,9 @@ def run_search(args) -> int:
         )
     except ValueError as err:
         raise InputError(f"search parameters: {err}") from None
-    outcome = search_rigid(params, jobs=args.jobs)
+    if args.jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {_shown(args.jobs)}")
+    outcome = search_rigid(params)
     summary = {
         "type": "summary",
         "candidates": outcome.summary.candidates,
@@ -477,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--max-weight", type=_int_flag, required=True, help="weight magnitude bound")
     p_search.add_argument("--signs", default="all", help="'all' or comma list like '+-,++'")
     p_search.add_argument("--effective-only", action="store_true", help="keep weight gcd 1 only")
-    p_search.add_argument("--jobs", type=_int_flag, default=1, help="parallel workers")
+    p_search.add_argument("--jobs", type=_int_flag, default=1, help="checked (at least 1), changes nothing")
     p_search.add_argument("--format", choices=("json", "table"), default="json")
     p_search.set_defaults(handler=run_search)
     return parser

@@ -7,7 +7,7 @@ and negating every weight.  The canonical key sorts weights descending
 inside each point, sorts the points by (sign, weights), and takes the
 smaller of the datum and its global weight negation.
 
-One generator yields the canonical keys, sharded by the next-to-last point:
+One generator yields the canonical keys in order:
 sorted point multisets minimal under negation, filtered by sign multiset
 (a sign pattern stands for its sorted tuple) and, when asked, by weight
 gcd.  ``prune`` is the public filter of proved necessary conditions:
@@ -58,12 +58,11 @@ floor(W / g), so by inclusion-exclusion over the common divisor
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress
 from math import comb, gcd, prod
-from operator import index, itemgetter, neg
+from operator import index, neg
 from typing import Iterator, Optional
 
 from .algebra import Record, _set
@@ -203,24 +202,20 @@ def _residues(points: list[PointKey], bound: int) -> list[int]:
     return [-value % MODULUS for value in plus] + plus
 
 
-def _indices(
-    total: int, m: int, shard: int, shards: int, residues: list[int]
-) -> Iterator[tuple[int, ...]]:
-    """The nondecreasing m-tuples of point indices whose residues sum to 0
-    mod MODULUS and whose next-to-last index (the only one for m = 1) is
-    = shard mod shards, in lexicographic order.  A tuple is a stem, a pen
-    and a last index taken from the pen's candidates.  The join walks a pen
-    only when a bucket holds the residue that completes the sum, a test
-    made in C for all the pens of a stem; for m = 2 every pen passes it (its sign flip)."""
+def _indices(total: int, m: int, residues: list[int]) -> Iterator[tuple[int, ...]]:
+    """The nondecreasing m-tuples of point indices whose residues sum to 0 mod
+    MODULUS, in lexicographic order: a stem, a pen and a last index from the
+    bucket of the residue that completes the sum.  A test made in C for all the
+    pens of a stem skips pens with none; at m = 2 every pen has one, its sign flip."""
     if m == 1:
-        yield from ((i,) for i in range(shard, total, shards) if residues[i] == 0)
+        yield from ((i,) for i in range(total) if residues[i] == 0)
         return
     buckets: dict[int, list[int]] = {}
     for i, value in enumerate(residues):
         buckets.setdefault(value, []).append(i)
     for stem in combinations_with_replacement(range(total), m - 2):
         low = stem[-1] if stem else 0
-        pens = range(low + (shard - low) % shards, total, shards)
+        pens = range(low, total)
         base = -sum(map(residues.__getitem__, stem))
         wanted = [(base - residues[pen]) % MODULUS for pen in pens]
         hits = compress(zip(pens, map(buckets.get, wanted)), map(buckets.__contains__, wanted))
@@ -228,19 +223,16 @@ def _indices(
             yield from ((*stem, pen, last) for last in lasts[bisect_left(lasts, pen) :])
 
 
-def _enumerate_shard(
-    params: SearchParams, shard: int, shards: int, _join: bool = False
-) -> Iterator[DataKey]:
-    """The canonical keys in order, sharded by the next-to-last point (the
-    only one for m = 1), whose table index is = shard mod shards; with
-    ``_join`` just those whose point residues sum to 0 mod MODULUS.  With
-    no weights the table is empty, and nothing is built for any n and m."""
+def _enumerate_shard(params: SearchParams, _join: bool = False) -> Iterator[DataKey]:
+    """The canonical keys in order; with ``_join`` just those whose point
+    residues sum to 0 mod MODULUS.  With no weights nothing is built, for any
+    n and m.  The name stays: perfbench/tracer.py patches it (positional calls)."""
     if not params.max_abs_weight:
         return
     points, negated = _table(params)
     signs = _sign_multisets(params)
     residues = _residues(points, params.max_abs_weight) if _join else [0] * len(points)
-    for chosen in _indices(len(points), params.m, shard, shards, residues):
+    for chosen in _indices(len(points), params.m, residues):
         # indices order like the keys they stand for
         if tuple(sorted([negated[i] for i in chosen])) < chosen:
             continue
@@ -254,7 +246,7 @@ def _enumerate_shard(
 
 def enumerate_data(params: SearchParams) -> Iterator[FixedPointData]:
     """Deterministic candidate stream, one datum per canonical class."""
-    return (FixedPointData._from_canonical(params.n, key) for key in _enumerate_shard(params, 0, 1))
+    return (FixedPointData._from_canonical(params.n, key) for key in _enumerate_shard(params))
 
 
 def _multisets(items: int, size: int) -> int:
@@ -346,40 +338,23 @@ class SearchOutcome(Record):
         _set(self, "summary", summary)
 
 
-def _search_shard(args) -> tuple[list, int]:
-    """One shard's rigid results, each with its key, and the number of join
-    keys it checked."""
-    params, shard, shards = args
+def _search_shard(params: SearchParams) -> tuple[list[SearchResult], int]:
+    """The rigid results in key order and the number of join keys checked.
+    The name stays: perfbench/tracer.py patches it (one positional argument)."""
     results, checked = [], 0
-    for key in _enumerate_shard(params, shard, shards, True):
+    for key in _enumerate_shard(params, True):
         checked += 1
         data = FixedPointData._from_canonical(params.n, key)
         report = is_rigid(data)
         if report.rigid:
             family = classify_two_points(data) if data.m == 2 else None
-            results.append((key, SearchResult(data, report, family)))
+            results.append(SearchResult(data, report, family))
     return results, checked
 
 
-def search_rigid(params: SearchParams, jobs: int = 1) -> SearchOutcome:
+def search_rigid(params: SearchParams) -> SearchOutcome:
     """All rigid representatives in range, with reports and (for two-point
-    data) family tags.  Results are sorted by the data's point keys, so
-    the output is deterministic and independent of the job count.
-
-    ``jobs`` must be at least 1; at most ``os.cpu_count()`` worker
-    processes run, however large it is."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {_shown(jobs)}")
-    shards = min(jobs, os.cpu_count() or 1)
-    tasks = [(params, i, shards) for i in range(shards)]
-    if shards == 1:
-        outputs = [_search_shard(tasks[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            outputs = list(pool.map(_search_shard, tasks))
-    keyed = sorted((r for shard_results, _ in outputs for r in shard_results), key=itemgetter(0))
-    results = tuple(result for _, result in keyed)
-    summary = SearchSummary(_count_classes(params), sum(c for _, c in outputs), len(results))
-    return SearchOutcome(results, summary)
+    data) family tags, in the key order the join yields them in."""
+    results, checked = _search_shard(params)
+    summary = SearchSummary(_count_classes(params), checked, len(results))
+    return SearchOutcome(tuple(results), summary)

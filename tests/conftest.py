@@ -67,7 +67,7 @@ def paired_keys(params):
     sorted weight magnitudes (the keys that pass the pairing rung)."""
     return [
         key
-        for key in _enumerate_shard(params, 0, 1)
+        for key in _enumerate_shard(params)
         if sorted(map(abs, key[0][1])) == sorted(map(abs, key[1][1]))
     ]
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,8 +13,6 @@ from txyrigid.cli import main
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     status = main(argv)
     captured = capsys.readouterr()
@@ -310,6 +309,20 @@ def test_verify_deeply_nested_json_exits_two(capsys, monkeypatch):
     assert err == "error: input: the document nests too deeply\n"
 
 
+def test_input_that_is_not_utf8_exits_two(capsys, monkeypatch, tmp_path):
+    path = tmp_path / ("x" * 50 + ".bin")
+    path.write_bytes(b"\xff" + Z_23.encode())
+    status, out, err = run_cli(capsys, ["verify", str(path)])
+    assert status == 2 and out == ""
+    shown = str(path)[:40] + f"... ({len(str(path))} characters)"
+    assert err == f"error: input: {shown} is not UTF-8 text (byte 0)\n"
+    stdin = io.TextIOWrapper(io.BytesIO(b"{\n \xe9}"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    status, out, err = run_cli(capsys, ["verify", "-"])
+    assert status == 2 and out == ""
+    assert err == "error: input: stdin is not UTF-8 text (byte 3)\n"
+
+
 def test_verify_table_format(capsys, monkeypatch):
     status, out, _ = run_cli(
         capsys, ["verify", "-", "--format", "table"], stdin=L1_4, monkeypatch=monkeypatch
@@ -595,34 +608,24 @@ def test_search_jobs_flag_matches_sequential(capsys):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    shards in this process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor and records each pool created."""
 
     created = []
 
     def __init__(self, max_workers=None, **_):
         RecordingPool.created.append(max_workers)
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_search_jobs_capped_at_cpu_count(capsys, monkeypatch):
+def test_search_starts_no_worker(capsys, monkeypatch):
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.created.clear()
     base = ["search", "--n", "2", "--m", "2", "--max-weight", "2"]
-    _, sequential, _ = run_cli(capsys, base + ["--jobs", "1"])
-    status, capped, _ = run_cli(capsys, base + ["--jobs", "100000"])
-    assert status == 0 and capped == sequential
-    assert all(workers <= (os.cpu_count() or 1) for workers in RecordingPool.created)
+    runs = [run_cli(capsys, base + ["--jobs", jobs]) for jobs in ("1", "2", "100000")]
+    statuses, outs, _ = zip(*runs)
+    assert statuses == (0, 0, 0) and outs[1] == outs[2] == outs[0]
+    assert RecordingPool.created == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -297,7 +297,7 @@ def desk_join_data():
     return [
         FixedPointData._from_canonical(n, key)
         for n in range(1, 5)
-        for key in _enumerate_shard(SearchParams(n, 2, 5), 0, 1, True)
+        for key in _enumerate_shard(SearchParams(n, 2, 5), True)
     ]
 
 

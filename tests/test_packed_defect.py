@@ -74,7 +74,7 @@ def test_packed_matches_reference_on_distinct_weights(n, monkeypatch):
 def test_packed_matches_reference_on_desk_join_keys(monkeypatch):
     # every key the desk search checks, n = 1..4, |w| <= 5
     for n in range(1, 5):
-        for key in _enumerate_shard(SearchParams(n, 2, 5), 0, 1, True):
+        for key in _enumerate_shard(SearchParams(n, 2, 5), True):
             assert_kernels_match_reference(FixedPointData._from_canonical(n, key), monkeypatch)
 
 
