@@ -309,21 +309,21 @@ _ZERO_POLY = PolyXY.zero()
 
 class SeriesU(Record):
     """Truncated Laurent series: PolyXY coefficients for the exponents
-    ``lowest`` .. ``order - 1``.
+    ``lowest`` .. ``order - 1``, with ``order`` = ``lowest`` plus the
+    number of ``coeffs``.
 
     Coefficients below ``lowest`` are exactly zero; coefficients at
     ``order`` and above are unknown.  A product keeps only the exponents
     both factors determine.
     """
 
-    def __init__(self, lowest: int, order: int, coeffs: tuple[PolyXY, ...]):
-        if order < lowest:
-            raise ValueError("order must be at least lowest")
-        if len(coeffs) != order - lowest:
-            raise ValueError("coefficient count does not match the exponent range")
+    def __init__(self, lowest: int, coeffs: tuple[PolyXY, ...]):
         _set(self, "lowest", lowest)
-        _set(self, "order", order)
         _set(self, "coeffs", coeffs)
+
+    @property
+    def order(self) -> int:
+        return self.lowest + len(self.coeffs)
 
     def coeff(self, k: int) -> PolyXY:
         if k < self.lowest:
@@ -337,14 +337,12 @@ class SeriesU(Record):
     def __mul__(self, other) -> "SeriesU":
         if isinstance(other, (int, Fraction, PolyXY)):
             p = other if isinstance(other, PolyXY) else PolyXY.const(other)
-            return SeriesU(self.lowest, self.order, tuple(c * p for c in self.coeffs))
+            return SeriesU(self.lowest, tuple(c * p for c in self.coeffs))
         if not isinstance(other, SeriesU):
             return NotImplemented
-        lowest = self.lowest + other.lowest
-        order = min(self.order + other.lowest, other.order + self.lowest)
-        if order < lowest:
-            raise ValueError("multiplied series have no common retained range")
-        out = [_ZERO_POLY] * (order - lowest)
+        # the product is known up to min(a.order + b.lowest, b.order + a.lowest),
+        # so it keeps as many coefficients as the shorter factor
+        out = [_ZERO_POLY] * min(len(self.coeffs), len(other.coeffs))
         for ia, ca in enumerate(self.coeffs):
             if ca.is_zero():
                 continue
@@ -355,6 +353,6 @@ class SeriesU(Record):
                 if cb.is_zero():
                     continue
                 out[target] = out[target] + ca * cb
-        return SeriesU(lowest, order, tuple(out))
+        return SeriesU(self.lowest + other.lowest, tuple(out))
 
     __rmul__ = __mul__

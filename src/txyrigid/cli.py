@@ -48,7 +48,7 @@ from .algebra import PolyXY, format_terms
 from .classify import ProofTrace, classify_two_points, pairing_check, replay_proof
 from .genera import FixedPointData, is_rigid
 from .search import SearchParams, SearchResult, _shown, search_rigid
-from .series import GenusSeries, TODD, TXY, genus_from_coefficients, genus_series, series_is_constant
+from .series import GenusSeries, TODD, TXY, genus_series, series_is_constant
 
 DEFAULT_ORDER = 12
 MAX_ORDER = 200
@@ -206,7 +206,7 @@ def document_genus(doc: dict, override: Optional[str]) -> GenusSeries:
     if not isinstance(coeffs, list):
         raise InputError("genus.coefficients: expected a list of rationals")
     values = [_field(c, f"genus.coefficients[{i}]", True) for i, c in enumerate(coeffs)]
-    return genus_from_coefficients(name, values)
+    return GenusSeries(name, values)
 
 
 def document_order(doc: dict, override: Optional[int], n: int) -> int:

@@ -124,23 +124,29 @@ class FixedPointData(Record):
 class GenusReport(Record):
     """Outcome of the exact rigidity check on one candidate.
 
-    rigid holds exactly when the defect is the zero Laurent polynomial, in
-    which case ``constant`` is present and equals ``ah_constant``.  The
-    weight gcd is reported (not enforced) so callers can filter ineffective
-    data, and ``limits_symmetric`` records the z -> 0 / z -> infinity
-    necessary condition.
+    ``rigid`` holds exactly when the defect is the zero Laurent
+    polynomial, and ``constant`` is then ``ah_constant`` (None otherwise);
+    both are read from the stored fields.  The weight gcd is reported (not
+    enforced) so callers can filter ineffective data, and
+    ``limits_symmetric`` records the z -> 0 / z -> infinity necessary
+    condition.
     """
 
     def __init__(
-        self, rigid: bool, constant: Optional[PolyXY], defect: PackedDefect,
-        ah_constant: PolyXY, limits_symmetric: bool, weight_gcd: int,
+        self, defect: PackedDefect, ah_constant: PolyXY, limits_symmetric: bool, weight_gcd: int
     ):
-        _set(self, "rigid", rigid)
-        _set(self, "constant", constant)
         _set(self, "defect", defect)
         _set(self, "ah_constant", ah_constant)
         _set(self, "limits_symmetric", limits_symmetric)
         _set(self, "weight_gcd", weight_gcd)
+
+    @property
+    def rigid(self) -> bool:
+        return self.defect.is_zero()
+
+    @property
+    def constant(self) -> Optional[PolyXY]:
+        return self.ah_constant if self.rigid else None
 
 
 def _ah_coefficients(data: FixedPointData) -> list[int]:
@@ -401,13 +407,9 @@ def is_rigid(data: FixedPointData) -> GenusReport:
         defect = PackedDefect(0, 8, data.n)  # the zero int, in one-byte digits
     else:
         defect = rigidity_defect(data, coeffs)
-    rigid = defect.is_zero()
-    constant = _ah_poly(data.n, coeffs)
     return GenusReport(
-        rigid=rigid,
-        constant=constant if rigid else None,
         defect=defect,
-        ah_constant=constant,
+        ah_constant=_ah_poly(data.n, coeffs),
         limits_symmetric=_limits_cancel(data.n, coeffs),
         weight_gcd=weight_gcd(data),
     )

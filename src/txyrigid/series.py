@@ -39,8 +39,9 @@ Rational-coefficient genera (Todd built in, others supplied as explicit
 coefficient lists) are expanded in u itself, with the same product of
 rational series and the same assembly, whose one row is e_n; the weight
 enters by the substitution u -> w*u, i.e. by scaling the k-th
-coefficient with w^k.  Todd's coefficients come from the
-same Bernoulli numbers, because 1/(1 - e^{-u}) = 1 + g(u).
+coefficient with w^k.  Todd is the two-parameter genus at (x, y) = (1, 0),
+1/(1 - e^{-u}) = 1 + g(u), so it reads the one table of g's coefficients
+and adds 1 to the first.
 
 No series is ever divided: every factor is a Laurent series with a
 simple pole and known coefficients, so each product is exact up to the
@@ -149,44 +150,30 @@ def _mul_add(acc: list[int], a, b) -> list[int]:
 class GenusSeries(Record):
     """A genus presented through the expansion of H(u)/u about u = 0.
 
-    The expansion always starts u^{-1} with residue 1.  ``symbolic`` marks
-    the two-parameter genus (coefficients polynomial in x, y; scaled
-    variable as described in the module docstring).  Other genera have
-    rational coefficients: ``regular_coeffs`` lists the coefficients of
-    H(u)/u - 1/u starting at u^0, taken as zero beyond the list; the name
-    "todd" takes them from the Bernoulli numbers instead.  They are stored
-    as Fractions; a float raises ValueError.
+    The expansion always starts u^{-1} with residue 1.  ``regular_coeffs``
+    lists the coefficients of H(u)/u - 1/u starting at u^0, taken as zero
+    beyond the list, stored as Fractions; a float raises ValueError.
+    Without a list the name must be "txy", the two-parameter genus, which
+    ``symbolic`` marks (coefficients polynomial in x, y; scaled variable as
+    described in the module docstring), or "todd", whose coefficients come
+    from the Bernoulli numbers; any other name raises ValueError.
     """
 
-    def __init__(
-        self, name: str, symbolic: bool = False,
-        regular_coeffs: Optional[tuple[Fraction, ...]] = None,
-    ):
+    def __init__(self, name: str, regular_coeffs: Optional[tuple[Fraction, ...]] = None):
         if regular_coeffs is not None:
             regular_coeffs = tuple(map(_fraction, regular_coeffs))
+        elif name not in ("txy", "todd"):
+            raise ValueError("a genus other than txy and todd needs a coefficient list")
         _set(self, "name", name)
-        _set(self, "symbolic", symbolic)
         _set(self, "regular_coeffs", regular_coeffs)
 
-    def regular_coefficient(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError("regular coefficients start at exponent 0")
-        if self.regular_coeffs is not None:
-            return self.regular_coeffs[k] if k < len(self.regular_coeffs) else Fraction(0)
-        if self.name == "todd":
-            # 1/(1 - e^{-u}) = 1 + g(u)
-            return bernoulli(k + 1) / factorial(k + 1) + (k == 0)
-        raise ValueError(f"genus {self.name!r} has no coefficient rule")
+    @property
+    def symbolic(self) -> bool:
+        return self.regular_coeffs is None and self.name == "txy"
 
 
-TXY = GenusSeries("txy", symbolic=True)
+TXY = GenusSeries("txy")
 TODD = GenusSeries("todd")
-
-
-def genus_from_coefficients(name: str, coefficients) -> GenusSeries:
-    """A rational-coefficient genus from the Taylor coefficients of
-    H(u)/u - 1/u (zero beyond the given list); a float raises ValueError."""
-    return GenusSeries(name, regular_coeffs=tuple(coefficients))
 
 
 def _size_estimate(n: int, length: int, weights, common: int, genus: GenusSeries) -> int:
@@ -267,21 +254,26 @@ def genus_series(
             f" exceeds {limit} bits, the interpreter's limit of {max_digits} digits for"
             " integer strings"
         )
-    if genus.symbolic:
+    symbolic = genus.symbolic
+    if genus.regular_coeffs is None:
         numerators, denominator = _g_regular(length)
+        if not symbolic:
+            # Todd: 1/(1 - e^{-u}) = 1 + g(u), with the same lcm (-1/2 + 1 = 1/2)
+            numerators = (numerators[0] + denominator, *numerators[1:])
     else:
+        listed = genus.regular_coeffs[: length - 1]
         numerators, denominator = _over_common_denominator(
-            [genus.regular_coefficient(k) for k in range(length - 1)]
+            listed + (Fraction(0),) * (length - 1 - len(listed))
         )
     # every factor t * F(w t) as integer numerators over one denominator,
     # scale: its own denominator is w * denominator, lifted by common / w
     scale = common * denominator
     factors = {}
     for w in weights:
-        base = txy_factor_series(w, length) if genus.symbolic else _factor(w, numerators, denominator)
+        base = txy_factor_series(w, length) if symbolic else _factor(w, numerators, denominator)
         factors[w] = [c * (common // w) for c in base]
     # a rational genus needs only the product of the factors, e_n
-    low = 0 if genus.symbolic else n
+    low = 0 if symbolic else n
     # sums[k]: scale^k times the sum over points of sign * t^k e_k
     sums = [[0] * length for _ in range(n + 1)]
     for point in data.points:
@@ -308,11 +300,11 @@ def genus_series(
         for k in range(b, n + 1):
             f, shift = comb(k, b), n - k
             row[shift:] = [r + f * c for r, c in zip(row[shift:], sums[k])]
-        key = (n - b, b) if genus.symbolic else (0, 0)
+        key = (n - b, b) if symbolic else (0, 0)
         for i, c in enumerate(row):
             if c:
                 terms[i][key] = Fraction(c, full)
-    return SeriesU(-n, order, tuple(PolyXY._raw(t) for t in terms))
+    return SeriesU(-n, tuple(PolyXY._raw(t) for t in terms))
 
 
 def series_is_constant(series: SeriesU) -> Optional[PolyXY]:

@@ -159,10 +159,11 @@ def test_laurent_normal_form():
 def test_series_product_keeps_common_range():
     rng = random.Random(5)
     for _ in range(10):
-        a = SeriesU(-1, 4, tuple(random_poly(rng, max_exp=1) for _ in range(5)))
-        b = SeriesU(0, 6, tuple(random_poly(rng, max_exp=1) for _ in range(6)))
+        a = SeriesU(-1, tuple(random_poly(rng, max_exp=1) for _ in range(5)))
+        b = SeriesU(0, tuple(random_poly(rng, max_exp=1) for _ in range(6)))
         product = a * b
         # b's unknown u^6 meets a's u^-1 at u^5; a's unknown u^4 meets b's u^0
+        assert (a.order, b.order) == (4, 6)
         assert (product.lowest, product.order) == (-1, 4)
         for k in range(-1, 4):
             expected = PolyXY.zero()
@@ -171,4 +172,7 @@ def test_series_product_keeps_common_range():
             assert product.coeff(k) == expected
         assert b * a == product
         assert (a * 3).coeffs == tuple(3 * c for c in a.coeffs)
+    # a factor with no retained coefficient leaves none in the product
+    empty = SeriesU(2, ()) * a
+    assert (empty.lowest, empty.order, empty.coeffs) == (1, 1, ())
 

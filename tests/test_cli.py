@@ -424,9 +424,11 @@ def test_series_unknown_genus_errors(capsys, monkeypatch):
 
 def test_series_custom_coefficient_genus(capsys, monkeypatch):
     # H(u)/u = 1/u + coefficients: feeding Todd's data as a custom list
-    from txyrigid.series import TODD
+    from math import factorial
 
-    coeffs = [str(TODD.regular_coefficient(k)) for k in range(20)]
+    from txyrigid.series import bernoulli
+
+    coeffs = [str(bernoulli(k + 1) / factorial(k + 1) + (k == 0)) for k in range(20)]
     doc = document(
         1,
         [((1,), 1), ((-1,), 1)],
@@ -449,6 +451,35 @@ def test_series_builtin_genus_rejects_coefficients(capsys, monkeypatch, name):
     custom = document(1, [((1,), 1), ((-1,), 1)], genus={"name": "mine", "coefficients": ["5", "7"]})
     status, out, _ = run_cli(capsys, ["series", "-"], stdin=custom, monkeypatch=monkeypatch)
     assert status == 0 and json.loads(out)["constant_pretty"] == "10"
+
+
+@pytest.mark.parametrize(
+    "genus, message",
+    [
+        (3, "genus: expected an object with a 'name' field"),
+        ({"name": 3}, "genus.name: expected a string"),
+        ({"name": "g", "coefficients": "1/2"}, "genus.coefficients: expected a list of rationals"),
+    ],
+    ids=["not-an-object", "name-not-a-string", "coefficients-not-a-list"],
+)
+def test_series_genus_diagnostics(capsys, monkeypatch, genus, message):
+    doc = document(1, [((4,), 1), ((-4,), 1)], genus=genus)
+    status, out, err = run_cli(capsys, ["series", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "genus, lines",
+    [
+        ("txy", ["u^0    -y + x", "u^1    0", "u^2    0", "verdict constant", "cross-check agree"]),
+        ("todd", ["u^0    1", "u^1    0", "u^2    0", "verdict constant"]),
+    ],
+)
+def test_series_table_format(capsys, monkeypatch, genus, lines):
+    argv = ["series", "-", "--order", "3", "--genus", genus, "--format", "table"]
+    status, out, err = run_cli(capsys, argv, stdin=L1_4, monkeypatch=monkeypatch)
+    assert (status, err) == (0, "")
+    assert out.splitlines() == [f"genus {genus}   order 3", "u^-1   0", *lines]
 
 
 MINE = document(1, [((1,), 1), ((-1,), 1)], genus={"name": "mine", "coefficients": ["5", "7"]})
@@ -1001,6 +1032,7 @@ PAIR = [_point("1", "2"), _point("-1", "-2")]
             {"n": "2", "points": [_point("1", "2", sign="1" * 4000), PAIR[1]]},
             f"points[0].sign: sign must be +1 or -1, got {'1' * 40}... (4000 characters)",
         ),
+        ([], "input: the document must be a JSON object"),
     ],
 )
 def test_document_diagnostics(capsys, monkeypatch, doc, message):

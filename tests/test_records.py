@@ -39,10 +39,10 @@ NOT_RIGID = FixedPointData(1, (FixedPoint((2,), 1), FixedPoint((3,), -1)))
 
 # each type's fields in the order of its constructor's parameters
 FIELDS = {
-    SeriesU: ("lowest", "order", "coeffs"),
+    SeriesU: ("lowest", "coeffs"),
     FixedPoint: ("weights", "sign"),
     FixedPointData: ("n", "points"),
-    GenusReport: ("rigid", "constant", "defect", "ah_constant", "limits_symmetric", "weight_gcd"),
+    GenusReport: ("defect", "ah_constant", "limits_symmetric", "weight_gcd"),
     FamilyTag: ("kind", "params"),
     ProofTrace: (
         "paired", "negation_pairing", "max_weight_tie", "n1_shortcut", "k", "l",
@@ -52,7 +52,7 @@ FIELDS = {
     SearchResult: ("data", "report", "family"),
     SearchSummary: ("candidates", "checked", "rigid"),
     SearchOutcome: ("results", "summary"),
-    GenusSeries: ("name", "symbolic", "regular_coeffs"),
+    GenusSeries: ("name", "regular_coeffs"),
 }
 
 # the types whose fields may hold a PolyXY or a PackedDefect, neither of
@@ -63,7 +63,7 @@ UNHASHABLE = {SeriesU, GenusReport, SearchResult, SearchOutcome}
 def sample(cls):
     """One value of cls, built afresh on every call."""
     return {
-        SeriesU: lambda: SeriesU(-1, 1, (PolyXY({(1, 0): 1}), PolyXY({}))),
+        SeriesU: lambda: SeriesU(-1, (PolyXY({(1, 0): 1}), PolyXY({}))),
         FixedPoint: lambda: FixedPoint((1, 2, -3), 1),
         FixedPointData: lambda: FixedPointData(1, (FixedPoint((2,), 1), FixedPoint((-2,), 1))),
         GenusReport: lambda: is_rigid(NOT_RIGID),
@@ -131,7 +131,7 @@ def test_equal_records_hash_equal(cls):
 def test_genus_report_stays_unhashable_through_its_defect():
     report = is_rigid(NOT_RIGID)
     with pytest.raises(TypeError, match="PackedDefect"):
-        hash(GenusReport(False, None, report.defect, 0, True, 1))
+        hash(GenusReport(report.defect, 0, True, 1))
 
 
 @TYPES
@@ -163,7 +163,7 @@ def test_repr_examples():
     assert repr(SearchSummary(10, 4, 1)) == "SearchSummary(candidates=10, checked=4, rigid=1)"
     assert repr(FixedPoint((1, -1), -1)) == "FixedPoint(weights=(1, -1), sign=-1)"
     assert repr(GenusSeries("g", regular_coeffs=[1])) == (
-        "GenusSeries(name='g', symbolic=False, regular_coeffs=(Fraction(1, 1),))"
+        "GenusSeries(name='g', regular_coeffs=(Fraction(1, 1),))"
     )
 
 
@@ -176,6 +176,41 @@ def test_keyword_construction_and_defaults():
     assert (genus.symbolic, genus.regular_coeffs) == (False, (Fraction(1),))
     assert GenusSeries("todd").regular_coeffs is None
     assert list(vars(replay_proof(S3_DATA))) == list(FIELDS[ProofTrace])
+
+
+# each derived attribute, a value of its type, and what it must read there
+DERIVED = {
+    "order": ("order", lambda: sample(SeriesU), 1),
+    "order-empty": ("order", lambda: SeriesU(3, ()), 3),
+    "rigid-false": ("rigid", lambda: is_rigid(NOT_RIGID), False),
+    "constant-none": ("constant", lambda: is_rigid(NOT_RIGID), None),
+    "rigid-true": ("rigid", lambda: is_rigid(S3_DATA), True),
+    "constant": ("constant", lambda: is_rigid(S3_DATA), PolyXY({(1, 2): 1, (2, 1): -1})),
+    "symbolic-txy": ("symbolic", lambda: GenusSeries("txy"), True),
+    "symbolic-todd": ("symbolic", lambda: GenusSeries("todd"), False),
+    # a listed genus is a rational one, whatever its name
+    "symbolic-listed": ("symbolic", lambda: GenusSeries("txy", [1]), False),
+}
+
+
+@pytest.mark.parametrize("name, build, expected", list(DERIVED.values()), ids=list(DERIVED))
+def test_derived_attributes_read_from_the_fields(name, build, expected):
+    value = build()
+    assert name not in type(value)._fields
+    assert getattr(value, name) == expected
+    with pytest.raises(AttributeError):
+        setattr(value, name, expected)
+    assert getattr(pickle.loads(pickle.dumps(value)), name) == expected
+
+
+def test_derived_attributes_are_not_parameters():
+    with pytest.raises(TypeError):
+        GenusSeries("txy", symbolic=True)
+    with pytest.raises(TypeError):
+        SeriesU(-1, 1, (PolyXY({}), PolyXY({})))
+    report = is_rigid(S3_DATA)
+    with pytest.raises(TypeError):
+        GenusReport(True, report.ah_constant, report.defect, report.ah_constant, True, 1)
 
 
 def test_a_missing_field_is_a_type_error():

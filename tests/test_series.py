@@ -16,7 +16,6 @@ from txyrigid.series import (
     TXY,
     GenusSeries,
     bernoulli,
-    genus_from_coefficients,
     genus_series,
     series_is_constant,
     txy_factor_series,
@@ -46,6 +45,11 @@ def inverse(a, length):
     for k in range(1, length):
         out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0])
     return out
+
+
+def todd_coefficient(k):
+    """The u^k coefficient of Todd's 1/(1 - e^{-u}) - 1/u = 1 + g(u) - 1/u."""
+    return bernoulli(k + 1) / factorial(k + 1) + (k == 0)
 
 
 def g_coefficients(w, length):
@@ -150,19 +154,19 @@ def test_txy_factor_agrees_with_z_domain_substitution():
 
 def test_todd_expansion_values():
     # 1/(1 - e^{-u}) = u^{-1} + 1/2 + u/12 + 0 u^2 - u^3/720 + ...
-    r = [TODD.regular_coefficient(k) for k in range(4)]
+    r = [todd_coefficient(k) for k in range(4)]
     assert r == [HALF, Fraction(1, 12), 0, Fraction(-1, 720)]
     # multiply back: u * factor(w u) * (1 - e^{-w u})/u == 1
     for w in (1, 2, -3):
         length = 10
-        factor = [Fraction(1, w)] + [TODD.regular_coefficient(k) * w**k for k in range(length - 1)]
+        factor = [Fraction(1, w)] + [todd_coefficient(k) * w**k for k in range(length - 1)]
         damped = [-c for c in exp_minus_one_over_t(-w, length)]
         assert mul(factor, damped, length) == [1] + [0] * (length - 1)
 
 
 def test_custom_genus_matches_builtin_todd():
-    coeffs = [TODD.regular_coefficient(k) for k in range(16)]
-    custom = genus_from_coefficients("custom-todd", coeffs)
+    coeffs = [todd_coefficient(k) for k in range(16)]
+    custom = GenusSeries("custom-todd", coeffs)
     rng = random.Random(18)
     for _ in range(10):
         data = random_data(rng, max_abs=4)
@@ -173,24 +177,39 @@ def test_custom_genus_matches_builtin_todd():
 def test_custom_genus_refuses_floats(coefficients):
     # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(ValueError, match="is a float; only exact rationals are accepted"):
-        genus_from_coefficients("floats", coefficients)
+        GenusSeries("floats", coefficients)
 
 
 def test_genus_series_reads_its_own_coefficients():
-    # built directly, not through genus_from_coefficients
     with pytest.raises(ValueError, match="is a float; only exact rationals are accepted"):
         GenusSeries("floats", regular_coeffs=(0.1,))
     genus = GenusSeries("ints", regular_coeffs=[5, 7])
     assert genus.regular_coeffs == (Fraction(5), Fraction(7))
     assert all(type(c) is Fraction for c in genus.regular_coeffs)
+    # the list is taken as zero beyond its end
     assert genus_series(make_l1(2), genus, 6) == genus_series(
-        make_l1(2), genus_from_coefficients("ints", [Fraction(5), Fraction(7)]), 6
+        make_l1(2), GenusSeries("ints", [Fraction(5), Fraction(7), 0, 0]), 6
     )
 
 
 def test_unknown_genus_has_no_rule():
-    with pytest.raises(ValueError):
-        GenusSeries("mystery").regular_coefficient(0)
+    # without a coefficient list only txy and todd are genera; the
+    # refusal comes at construction and echoes no part of the name
+    for name in ("mystery", "x" * 5000, "TXY", None):
+        with pytest.raises(ValueError) as caught:
+            GenusSeries(name)
+        message = str(caught.value)
+        assert len(message) < 200 and "xxx" not in message and "mystery" not in message
+
+
+def test_todd_is_txy_at_one_zero():
+    # TXY's scaled variable t = (x+y)u is u itself at (x, y) = (1, 0)
+    rng = random.Random(23)
+    for _ in range(10):
+        data = random_data(rng, max_abs=4)
+        txy = genus_series(data, TXY, 10)
+        todd = genus_series(data, TODD, 10)
+        assert [substitute(c, 1, 0) for c in txy.coeffs] == [substitute(c, 1, 1) for c in todd.coeffs]
 
 
 # -- genus_series ---------------------------------------------------------------
@@ -233,7 +252,7 @@ def test_genus_series_order_guard():
 
 
 def test_series_is_constant_zero_series():
-    zero = SeriesU(-2, 5, (PolyXY.zero(),) * 7)
+    zero = SeriesU(-2, (PolyXY.zero(),) * 7)
     assert series_is_constant(zero) == PolyXY.zero()
 
 
@@ -313,10 +332,10 @@ def test_series_size_guard_counts_custom_coefficients():
     # 60 coefficients over distinct 1000-digit denominators, whose lcm
     # alone takes seconds and whose expansion minutes; small ones pass
     data = make_l1(1)
-    huge = genus_from_coefficients("huge", [Fraction(1, 10**999 + 2 * k + 1) for k in range(60)])
+    huge = GenusSeries("huge", [Fraction(1, 10**999 + 2 * k + 1) for k in range(60)])
     with pytest.raises(ValueError, match="series size estimate"):
         genus_series(data, huge, 100)
-    small = genus_from_coefficients("small", [Fraction(1, 10**9 + 2 * k + 1) for k in range(60)])
+    small = GenusSeries("small", [Fraction(1, 10**9 + 2 * k + 1) for k in range(60)])
     assert genus_series(data, small, 12).lowest == -1
 
 
@@ -370,7 +389,7 @@ def test_genus_series_matches_reference_product():
     # every n = 1..6 with every m = 1..4; order 24, the costly reference,
     # at one m per n
     rng = random.Random(22)
-    custom = genus_from_coefficients(
+    custom = GenusSeries(
         "custom", [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
     )
     for n in range(1, 7):
