@@ -45,7 +45,7 @@ from itertools import chain
 from typing import Any, Optional
 
 from .algebra import PolyXY, format_terms
-from .classify import ProofTrace, classify_two_points, pairing_check, replay_proof
+from .classify import NOT_RIGID, ProofTrace, classify_two_points, pairing_check, replay_proof
 from .genera import FixedPointData, is_rigid
 from .search import SearchParams, SearchResult, _shown, search_rigid
 from .series import GenusSeries, TODD, TXY, genus_series, series_is_constant
@@ -306,7 +306,7 @@ def run_classify(args) -> int:
     trace = None
     if family.kind != "Z" and pairing_check(data):
         trace = replay_proof(data)
-    rigid = family.kind in ("Z", "L1", "S3", "RigidUnclassified")
+    rigid = family != NOT_RIGID
     out = {
         "command": "classify",
         "family": {"kind": family.kind, "params": list(family.params)},

@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import index
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .algebra import PolyXY, Record, _set
 
@@ -236,34 +236,29 @@ class PackedDefect:
     """The defect of ``rigidity_defect``, a Laurent polynomial in z over
     Z[x], with x packed at 2^``bits``.
 
-    Dense (``degree`` given): one int, z^k's coefficient being slot k of
-    ``degree + 1`` digits.  Sparse (``degree`` None): ``packed`` maps a
-    z-exponent to its nonzero coefficient.  Zero tests read the ints;
-    ``term_count`` and ``terms`` decode them on first use.
+    With ``degree`` given, ``value`` is one int, z^k's coefficient being
+    slot k of ``degree + 1`` digits; with ``degree`` None it maps each
+    z-exponent to its nonzero coefficient.  Either way ``value`` is falsy
+    exactly when the defect is zero; ``packed``, ``term_count`` and
+    ``terms`` decode it on each read.
     """
 
-    __slots__ = ("bits", "degree", "_value", "_packed", "_terms")
+    __slots__ = ("value", "bits", "degree")
 
-    def __init__(
-        self, packed: Union[int, Mapping[int, int]], bits: int, degree: Optional[int] = None
-    ):
+    def __init__(self, value: Union[int, dict[int, int]], bits: int, degree: Optional[int] = None):
+        self.value = value
         self.bits = bits
         self.degree = degree
-        if degree is None:
-            self._value, self._packed = None, {k: v for k, v in packed.items() if v}
-        else:
-            self._value, self._packed = packed, None
-        self._terms: Optional[dict[int, dict[int, int]]] = None
 
     @property
     def packed(self) -> dict[int, int]:
         """{z-exponent: nonzero int}, the x-polynomial at x = 2^bits."""
-        if self._packed is None:
-            self._packed = _split_slots(self._value, self.bits, self.degree + 1)
-        return self._packed
+        if self.degree is None:
+            return self.value
+        return _split_slots(self.value, self.bits, self.degree + 1)
 
     def is_zero(self) -> bool:
-        return not self._packed if self._value is None else self._value == 0
+        return not self.value
 
     def term_count(self) -> int:
         """Number of nonzero z-coefficients."""
@@ -272,9 +267,7 @@ class PackedDefect:
     @property
     def terms(self) -> dict[int, dict[int, int]]:
         """{z-exponent: {x-exponent: int}}, the shape of ``LaurentZ.terms``."""
-        if self._terms is None:
-            self._terms = {k: _split_slots(v, self.bits, 1) for k, v in self.packed.items()}
-        return self._terms
+        return {k: _split_slots(v, self.bits, 1) for k, v in self.packed.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PackedDefect):
@@ -330,7 +323,10 @@ def rigidity_defect(data: FixedPointData, coeffs: Optional[list[int]] = None) ->
     10^9 + 7) the defect is kept as {z-exponent: int} instead, whose size
     grows only with the distinct weight sums, and every binomial
     low + high z^a, with low and high packed ints, is one pass over the
-    z-coefficients (``_times_binomial``).
+    z-coefficients (``_times_binomial``).  The sum of the chains is
+    returned as ``PackedDefect(value, bits, degree)``: the one int with
+    ``degree`` n, or the map, with every z-coefficient that cancels
+    dropped, with ``degree`` None.
     """
     n = data.n
     # extra is lazy: no point's extras are listed before the guard
@@ -374,8 +370,10 @@ def rigidity_defect(data: FixedPointData, coeffs: Optional[list[int]] = None) ->
         if dense:
             total += t
         else:
-            for k, c in t.items():
-                total[k] = total.get(k, 0) + c
+            for k, c in t.items():  # a coefficient that cancels is dropped
+                c += total.pop(k, 0)
+                if c:
+                    total[k] = c
     return PackedDefect(total, bits, n if dense else None)
 
 

@@ -153,23 +153,24 @@ class GenusSeries(Record):
     The expansion always starts u^{-1} with residue 1.  ``regular_coeffs``
     lists the coefficients of H(u)/u - 1/u starting at u^0, taken as zero
     beyond the list, stored as Fractions; a float raises ValueError.
-    Without a list the name must be "txy", the two-parameter genus, which
+    The built-in genera take no list: "txy", the two-parameter genus, which
     ``symbolic`` marks (coefficients polynomial in x, y; scaled variable as
-    described in the module docstring), or "todd", whose coefficients come
-    from the Bernoulli numbers; any other name raises ValueError.
+    described in the module docstring), and "todd", whose coefficients come
+    from the Bernoulli numbers.  Every other name needs a list.  A list
+    under a built-in name, or none under another name, raises ValueError.
     """
 
     def __init__(self, name: str, regular_coeffs: Optional[tuple[Fraction, ...]] = None):
+        if (regular_coeffs is None) != (name in ("txy", "todd")):
+            raise ValueError("txy and todd take no coefficient list, and every other genus needs one")
         if regular_coeffs is not None:
             regular_coeffs = tuple(map(_fraction, regular_coeffs))
-        elif name not in ("txy", "todd"):
-            raise ValueError("a genus other than txy and todd needs a coefficient list")
         _set(self, "name", name)
         _set(self, "regular_coeffs", regular_coeffs)
 
     @property
     def symbolic(self) -> bool:
-        return self.regular_coeffs is None and self.name == "txy"
+        return self.name == "txy"
 
 
 TXY = GenusSeries("txy")

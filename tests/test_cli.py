@@ -339,6 +339,7 @@ def test_classify_l1(capsys, monkeypatch):
     assert status == 0
     report = json.loads(out)
     assert report["family"] == {"kind": "L1", "params": [4]}
+    assert report["rigid"] is True
     assert report["proof"]["n1_shortcut"] is True
 
 
@@ -348,6 +349,7 @@ def test_classify_unpaired_is_not_rigid(capsys, monkeypatch):
     assert status == 1
     report = json.loads(out)
     assert report["family"]["kind"] == "NotRigid"
+    assert report["rigid"] is False
     assert report["proof"] is None
 
 
@@ -357,6 +359,7 @@ def test_classify_s3_with_full_trace(capsys, monkeypatch):
     assert status == 0
     report = json.loads(out)
     assert report["family"] == {"kind": "S3", "params": [2, 2]}
+    assert report["rigid"] is True
     proof = report["proof"]
     assert proof["balance_holds"] and proof["max_rule_holds"]
     assert proof["final_form"] == {"k": 1, "l": 2, "max_is_pair_sum": True}
@@ -367,7 +370,19 @@ def test_classify_z_has_no_trace(capsys, monkeypatch):
     assert status == 0
     report = json.loads(out)
     assert report["family"]["kind"] == "Z"
+    assert report["rigid"] is True
     assert report["proof"] is None
+
+
+def test_classify_reads_rigidity_from_the_family(capsys, monkeypatch):
+    # every family but NotRigid is rigid, a kind the CLI has never seen included
+    from txyrigid import cli
+    from txyrigid.classify import FamilyTag
+
+    for kind, rigid in (("RigidUnclassified", True), ("New", True), ("NotRigid", False)):
+        monkeypatch.setattr(cli, "classify_two_points", lambda data, kind=kind: FamilyTag(kind))
+        status, out, _ = run_cli(capsys, ["classify", "-"], stdin=L1_4, monkeypatch=monkeypatch)
+        assert (status, json.loads(out)["rigid"]) == (0 if rigid else 1, rigid)
 
 
 def test_classify_wrong_point_count(capsys, monkeypatch):

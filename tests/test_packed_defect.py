@@ -1,6 +1,8 @@
 """Differential tests of the packed defect against the term-by-term
 ``LaurentZ`` chain it replaced, on both of its layouts."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from conftest import assert_matches_reference
 from txyrigid import genera
 from txyrigid.classify import make_l1, make_s3, make_z
-from txyrigid.genera import FixedPoint, FixedPointData, _split_slots, rigidity_defect
+from txyrigid.genera import FixedPoint, FixedPointData, _split_slots, is_rigid, rigidity_defect
 from txyrigid.search import SearchParams, _enumerate_shard
 
 
@@ -101,6 +103,38 @@ def test_layout_switches_at_the_dense_cap():
         assert_matches_reference(data)
         # (1 + x) z^a + (1 + x) z^(a - 1) - 2 (1 + x)
         assert sorted(defect.terms) == [0, weight - 1, weight]
+
+
+def test_map_layout_stores_only_nonzero_coefficients(monkeypatch):
+    monkeypatch.setattr(genera, "MAX_DENSE_BITS", 0)
+    # points (5) and (4): each of the three chains reaches z^9, the sum of
+    # the shared multiset {5, 4}, and there the three sum to zero
+    defect = rigidity_defect(FixedPointData(1, (FixedPoint((5,), 1), FixedPoint((4,), 1))))
+    assert defect.degree is None and sorted(defect.value) == [0, 4, 5]
+    rng = random.Random(910)
+    for _ in range(60):
+        defect = rigidity_defect(paired(rng, rng.randint(1, 4), 6))
+        assert 0 not in defect.value.values()
+    assert rigidity_defect(make_l1(7)).value == {}
+
+
+def test_both_layouts_survive_pickle_and_copy(monkeypatch):
+    rng = random.Random(911)
+    cases = [make_l1(3), make_s3(2, 5), three(rng, 2, 5), paired(rng, 3, 6), paired(rng, 4, 8)]
+    for cap, sparse in ((1 << 62, False), (0, True)):
+        monkeypatch.setattr(genera, "MAX_DENSE_BITS", cap)
+        defects = [rigidity_defect(data) for data in cases]
+        assert all((d.degree is None) == sparse for d in defects)
+        # is_rigid's defect of data that pairs off is the one int 0 either way
+        defects.append(is_rigid(make_z((1, 2))).defect)
+        assert {d.is_zero() for d in defects} == {True, False}
+        for defect in defects:
+            assert defect.is_zero() == (not defect.value)
+            for restored in (
+                pickle.loads(pickle.dumps(defect)), copy.copy(defect), copy.deepcopy(defect)
+            ):
+                assert restored.terms == defect.terms
+                assert restored.term_count() == defect.term_count()
 
 
 # -- the coefficient bound that sets the packing width -------------------------

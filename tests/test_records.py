@@ -188,8 +188,8 @@ DERIVED = {
     "constant": ("constant", lambda: is_rigid(S3_DATA), PolyXY({(1, 2): 1, (2, 1): -1})),
     "symbolic-txy": ("symbolic", lambda: GenusSeries("txy"), True),
     "symbolic-todd": ("symbolic", lambda: GenusSeries("todd"), False),
-    # a listed genus is a rational one, whatever its name
-    "symbolic-listed": ("symbolic", lambda: GenusSeries("txy", [1]), False),
+    # a listed genus is a rational one; a built-in name refuses a list
+    "symbolic-listed": ("symbolic", lambda: GenusSeries("g", [1]), False),
 }
 
 
@@ -201,6 +201,16 @@ def test_derived_attributes_read_from_the_fields(name, build, expected):
     with pytest.raises(AttributeError):
         setattr(value, name, expected)
     assert getattr(pickle.loads(pickle.dumps(value)), name) == expected
+
+
+def test_a_builtin_genus_refuses_a_coefficient_list():
+    # a listed genus under a built-in name would be a rational genus that
+    # the CLI cannot express and that differs from the built-in one
+    for name, coeffs in (("txy", [1]), ("todd", [5]), ("todd", [])):
+        with pytest.raises(ValueError):
+            GenusSeries(name, coeffs)
+        with pytest.raises(ValueError):
+            GenusSeries(name, regular_coeffs=coeffs)
 
 
 def test_derived_attributes_are_not_parameters():
