@@ -16,19 +16,28 @@ For the two-parameter genus
     H(u)/u = (x*e^{(x+y)u} + y) / (e^{(x+y)u} - 1)
 
 all expansions are carried out in the scaled variable t = (x+y)*u, where
-a weight factor is x + (x+y)*g(w*t).  A point with weights w_1 .. w_n
-therefore contributes
+a weight factor is x + (x+y)*g(w*t).  With h = g + 1/2 = coth(s/2)/2
+it is (x-y)/2 + (x+y)*h(w*t), the symmetric form in Hirzebruch-Berger-
+Jung, Manifolds and Modular Forms (1992), and a point with weights
+w_1 .. w_n contributes
 
-    sign * sum_k x^(n-k) (x+y)^k e_k(g(w_1 t), .., g(w_n t)),
+    sign * sum_k ((x-y)/2)^(n-k) (x+y)^k e_k(h(w_1 t), .., h(w_n t)),
 
-with e_k the elementary symmetric functions.  The n + 1 series e_k have
-rational coefficients, kept as integer numerators over one common
-denominator; each is built by the recursion e_k += e_(k-1) * factor, one
-multiply-accumulate per update, and summed over the points.  x and y
-enter only at assembly: the x^(n-b) y^b part of every retained
-coefficient comes from one integer row over all exponents, to which each
-summed e_k contributes C(k, b) times itself, shifted by n - k.  Nothing
-here is shared with the exact z-domain check in ``genera``.
+with e_k the elementary symmetric functions.  h is odd, so t*h(w*t) is
+even in t: its table is g's with the B_1 entry at t^1 dropped, the only
+nonzero odd one, and every t^k e_k is a series in t^2, kept at half the
+length.  The n + 1 series e_k have rational coefficients, kept as
+integer numerators over one common denominator; each is built by the
+recursion e_k += e_(k-1) * factor, one multiply-accumulate per update,
+and summed over the points.  x and y enter only at assembly: the
+x^(n-b) y^b part of every retained coefficient comes from one integer
+row over all exponents, to which each summed e_k contributes
+2^k K(n, k, b) times itself at every other index from n - k, with
+K(n, k, b) the x^(n-b) y^b coefficient of (x-y)^(n-k) (x+y)^k, over
+2^n times the common denominator.  Only the rows b <= n/2 are built:
+swapping x and y turns each factor into minus itself at -t, so row n - b
+is row b with its odd indices negated.  Nothing here is shared with the
+exact z-domain check in ``genera``.
 The stored coefficient of t^k is the true u^k coefficient divided by
 (x+y)^k.  Constancy is unaffected by the scaling (the coefficient ring
 has no zero divisors) and the constant term itself carries no scaling
@@ -36,12 +45,18 @@ unit, so verdict and constant can be compared directly with the exact
 z-domain checker.
 
 Rational-coefficient genera (Todd built in, others supplied as explicit
-coefficient lists) are expanded in u itself, with the same product of
-rational series and the same assembly, whose one row is e_n; the weight
-enters by the substitution u -> w*u, i.e. by scaling the k-th
-coefficient with w^k.  Todd is the two-parameter genus at (x, y) = (1, 0),
-1/(1 - e^{-u}) = 1 + g(u), so it reads the one table of g's coefficients
-and adds 1 to the first.
+coefficient lists) are expanded in u itself and need only the product
+e_n of their factors, the one row of the same assembly, at every index;
+the weight enters by the substitution u -> w*u, i.e. by scaling the k-th
+coefficient with w^k.  Todd is the two-parameter genus at
+(x, y) = (1, 0), 1/(1 - e^{-u}) = 1 + g(u), so it reads the one table of
+g's coefficients and adds 1 to the first.  It stays on g: its factor
+1 + g = 1/2 + h would need every e_k of h, not one product, and that
+measured slower at every n from 2 to 5.
+
+Points with the same sorted weights contribute the same series, since
+each e_k is symmetric in the weights; so their signs are added before
+anything is expanded, and a group whose signs add up to 0 is skipped.
 
 No series is ever divided: every factor is a Laurent series with a
 simple pole and known coefficients, so each product is exact up to the
@@ -67,8 +82,8 @@ MAX_SERIES_WORK = 1 << 20
 # Size guard: genus_series refuses data when its bound on the bits the
 # weights, and a custom genus's coefficients, put into one integer of the
 # expansion (_size_estimate) exceeds this.  Two points at n = 2, order 200,
-# with weights (+-a, a + 2): a = 10^20 (13,733 bits) is admitted and takes
-# 0.7 s; a = 10^30 (20,500 bits), 10^300 and 10^3000 are refused in
+# with weights (+-a, a + 2): a = 10^20 (13,737 bits) is admitted and takes
+# 0.7 s; a = 10^30 (20,504 bits), 10^300 and 10^3000 are refused in
 # milliseconds, where the expansion takes 1 s, 25 s and over 5 minutes.
 # The CLI's max_digits (the int-to-str limit) refuses a = 10^20 there too.
 MAX_SERIES_BITS = 1 << 14
@@ -131,16 +146,32 @@ def txy_factor_series(w: int, length: int) -> tuple[int, ...]:
     return _factor(w, *_g_regular(length))
 
 
+@lru_cache(maxsize=None)
+def _txy_rows(n: int) -> tuple:
+    """For each y-exponent b <= n/2: the monomial key (n - b, b), its
+    mirror (b, n - b) or None for b = n/2, and the pairs
+    (k, 2^k K(n, k, b)) whose K(n, k, b), the x^(n-b) y^b coefficient of
+    (x - y)^(n-k) (x + y)^k, is nonzero."""
+    rows = []
+    for b in range(n // 2 + 1):
+        parts = []
+        for k in range(n + 1):
+            c = sum((-1) ** j * comb(n - k, j) * comb(k, b - j) for j in range(b + 1))
+            if c:
+                parts.append((k, c << k))
+        rows.append(((n - b, b), (b, n - b) if 2 * b < n else None, tuple(parts)))
+    return tuple(rows)
+
+
 def _mul_add(acc: list[int], a, b) -> list[int]:
-    # acc plus the product of the power series a and b, all three of one
-    # length, truncated to that length
+    # acc plus the product of the power series a and b, truncated to the
+    # length of acc; b is given as its nonzero (exponent, coefficient) pairs
     out = list(acc)
     length = len(out)
-    nonzero = [(j, c) for j, c in enumerate(b) if c]
     for i, ai in enumerate(a):
         if not ai:
             continue
-        for j, bj in nonzero:
+        for j, bj in b:
             if i + j >= length:
                 break
             out[i + j] += ai * bj
@@ -189,11 +220,15 @@ def _size_estimate(n: int, length: int, weights, common: int, genus: GenusSeries
     their denominators, and add n * (bits(D) + bits of the largest
     numerator).  D is built only until n * bits(D) alone is over
     MAX_SERIES_BITS, because the lcm of many large denominators is itself
-    slow; an estimate over the bound may therefore stop short.  The
+    slow; an estimate over the bound may therefore stop short.  TXY's
+    rows take each summed e_k times 2^k K(n, k, b), at most 2^(2n) in
+    size, and its denominator gains 2^n, so TXY adds 2n bits.  The
     Bernoulli coefficients of TXY and Todd add a size fixed by the order
     (about 1,300 bits at order 200), left to genus_series's allowance."""
     bits = (length - 1) * max(abs(w) for w in weights).bit_length() + n * common.bit_length()
-    if genus.regular_coeffs is not None:
+    if genus.symbolic:
+        bits += 2 * n
+    elif genus.regular_coeffs is not None:
         denominator, numerator_bits = 1, 0
         for c in genus.regular_coeffs[: length - 1]:
             denominator = lcm(denominator, c.denominator)
@@ -213,17 +248,24 @@ def genus_series(
 
     Every factor is t^-1 times a power series, so each e_k of a point's
     factors is exact to order - 1 when its power series are kept to length
-    order + n.  A point's e_k come from the elementary-symmetric recursion
-    e_k += e_(k-1) * factor, one multiply-accumulate per update.  The
-    summed e_k are then assembled into one integer row per y-exponent over
-    every retained exponent, and each nonzero entry becomes one reduced
-    fraction; a rational genus has the one row e_n.
+    order + n: for TXY that is the (order + n + 1) // 2 coefficients of
+    t^0, t^2, .. of each t^k e_k of h, and for a rational genus every
+    coefficient of e_n.  The points are first grouped by sorted weights
+    and each group with a nonzero sum of signs is expanded once, with that
+    sum as its sign.  A group's e_k come from the elementary-symmetric
+    recursion e_k += e_(k-1) * factor, one multiply-accumulate per update.
+    The summed e_k are then assembled into one integer row per y-exponent
+    over every retained exponent, TXY's e_k weighted by 2^k K(n, k, b) at
+    every other index, and each nonzero entry becomes one reduced
+    fraction; TXY builds the rows b <= n/2 and reads row n - b off row b,
+    and a rational genus has the one row e_n.
 
-    Two guards run before any product; each raises ValueError.  The work
-    is bounded from m, n and work = order + 2n + 6, a length above
-    order + n: the recursion makes at most n(n + 1)/2 products of series of
-    that length per point, at most work^2 / 2 coefficient products each,
-    and the assembly is smaller still, so m * n(n + 1) * work^2 bounds the
+    Two guards run before any product, and before the grouping, on all of
+    the data; each raises ValueError.  The work is bounded from m, n and
+    work = order + 2n + 6, a length above order + n: the recursion makes
+    at most n(n + 1)/2 products of series of that length per point, at
+    most work^2 / 2 coefficient products each, and the assembly is
+    smaller still, so m * n(n + 1) * work^2 bounds the
     coefficient products; it may not exceed MAX_SERIES_WORK.  The bits
     those products carry, as _size_estimate bounds them, may not exceed
     MAX_SERIES_BITS.  A nonzero ``max_digits`` adds a third: the estimate plus
@@ -240,8 +282,7 @@ def genus_series(
         )
     length = order + n
     weights = {w for point in data.points for w in point.weights}
-    common = lcm(*weights)
-    bits = _size_estimate(n, length, weights, common, genus)
+    bits = _size_estimate(n, length, weights, lcm(*weights), genus)
     if bits > MAX_SERIES_BITS:
         raise ValueError(
             f"series size estimate {bits} bits per coefficient exceeds"
@@ -255,6 +296,15 @@ def genus_series(
             f" exceeds {limit} bits, the interpreter's limit of {max_digits} digits for"
             " integer strings"
         )
+    # points with the same sorted weights contribute the same series: their
+    # signs are added first, and a group whose signs cancel is skipped
+    signs = {}
+    for point in data.points:
+        group = tuple(sorted(point.weights))
+        signs[group] = signs.get(group, 0) + point.sign
+    groups = [(group, sign) for group, sign in signs.items() if sign]
+    weights = {w for group, _ in groups for w in group}
+    common = lcm(*weights)
     symbolic = genus.symbolic
     if genus.regular_coeffs is None:
         numerators, denominator = _g_regular(length)
@@ -266,45 +316,57 @@ def genus_series(
         numerators, denominator = _over_common_denominator(
             listed + (Fraction(0),) * (length - 1 - len(listed))
         )
-    # every factor t * F(w t) as integer numerators over one denominator,
-    # scale: its own denominator is w * denominator, lifted by common / w
+    # every factor as the nonzero (exponent, numerator) pairs of its
+    # coefficients over one denominator, scale: its own denominator is
+    # w * denominator, lifted by common / w.  A TXY factor
+    # t * h(w t) = t * g(w t) + t/2 is even in t, so its table is g's at
+    # t^0, t^2, .. (the B_1 entry at t^1 is the only odd one), and every
+    # series below is one in t^2
     scale = common * denominator
+    if symbolic:
+        size, stride, rows, full = (length + 1) // 2, 2, _txy_rows(n), (2 * scale) ** n
+    else:
+        size, stride, rows, full = length, 1, (((0, 0), None, ((n, 1),)),), scale**n
     factors = {}
     for w in weights:
-        base = txy_factor_series(w, length) if symbolic else _factor(w, numerators, denominator)
-        factors[w] = [c * (common // w) for c in base]
+        base = txy_factor_series(w, length)[::2] if symbolic else _factor(w, numerators, denominator)
+        factors[w] = [(i, c * (common // w)) for i, c in enumerate(base) if c]
     # a rational genus needs only the product of the factors, e_n
     low = 0 if symbolic else n
-    # sums[k]: scale^k times the sum over points of sign * t^k e_k
-    sums = [[0] * length for _ in range(n + 1)]
-    for point in data.points:
-        elementary = [[point.sign] + [0] * (length - 1)]
-        for w in point.weights:
+    # sums[k]: scale^k times the sum over groups of sign * t^k e_k
+    sums = [[0] * size for _ in range(n + 1)]
+    for group, sign in groups:
+        elementary = [[sign] + [0] * (size - 1)]
+        for w in group:
             a = factors[w]
-            elementary.append(_mul_add([0] * length, elementary[-1], a))
+            elementary.append(_mul_add([0] * size, elementary[-1], a))
             for k in range(len(elementary) - 2, low, -1):
                 elementary[k] = _mul_add(elementary[k], elementary[k - 1], a)
         for k in range(low, n + 1):
             sums[k] = [p + q for p, q in zip(sums[k], elementary[k])]
-    full = scale**n
-    # the t^j coefficient of x^(n-k) (x+y)^k t^-k e_k has the y^b term
-    # C(k, b) sums[k][j + k] / scale^k; over full = scale^n, row b holds
-    # the numerators of every retained j at index j + n, so sums[k] enters
-    # it lifted by scale^(n-k) and shifted by n - k.  A rational genus has
-    # the one row b = n, e_n itself, keyed (0, 0)
+    # the t^j coefficient of ((x-y)/2)^(n-k) (x+y)^k t^-k e_k has the y^b
+    # term K(n, k, b) 2^(k-n) sums[k][(j + k) / 2] / scale^k; over
+    # full = (2 scale)^n, row b holds the numerators of every retained j at
+    # index j + n, so sums[k] enters it times 2^k K(n, k, b), lifted by
+    # scale^(n-k), at the indices n - k, n - k + 2, ..  Swapping x and y
+    # turns each factor into minus itself at -t (h is odd), so the
+    # x^b y^(n-b) coefficient of t^j is (-1)^(j+n) times the x^(n-b) y^b
+    # one: row n - b is row b with its odd indices negated.  A rational
+    # genus has the one row e_n over scale^n, every index, keyed (0, 0)
     for k in range(low, n):
         lift = scale ** (n - k)
         sums[k] = [c * lift for c in sums[k]]
     terms = [{} for _ in range(length)]
-    for b in range(low, n + 1):
+    for key, mirror, parts in rows:
         row = [0] * length
-        for k in range(b, n + 1):
-            f, shift = comb(k, b), n - k
-            row[shift:] = [r + f * c for r, c in zip(row[shift:], sums[k])]
-        key = (n - b, b) if symbolic else (0, 0)
+        for k, f in parts:
+            shift = n - k
+            row[shift::stride] = [r + f * c for r, c in zip(row[shift::stride], sums[k])]
         for i, c in enumerate(row):
             if c:
-                terms[i][key] = Fraction(c, full)
+                terms[i][key] = c = Fraction(c, full)
+                if mirror:
+                    terms[i][mirror] = -c if i % 2 else c
     return SeriesU(-n, tuple(PolyXY._raw(t) for t in terms))
 
 

@@ -226,6 +226,25 @@ def test_series_work_guard_exits_two_fast(capsys, monkeypatch):
     assert "series work estimate" in err and "exceeds the bound" in err
 
 
+def test_series_guards_see_points_that_pair_off(capsys, monkeypatch):
+    # a Z pair is refused by the work guard at n = 15, order 16, and by the
+    # size guard at weight 10^30, before its points are grouped away
+    weights = [2**i for i in range(15)]
+    a = 10**30 + 7
+    for doc, message in (
+        (
+            document(15, [(weights, 1), (weights, -1)], order=16),
+            "series work estimate 1297920 monomial products exceeds the bound 1048576",
+        ),
+        (
+            document(2, [((a, a + 2), 1), ((a + 2, a), -1)], order=200),
+            "series size estimate 20504 bits per coefficient exceeds the bound 16384",
+        ),
+    ):
+        status, out, err = run_cli(capsys, ["series", "-"], stdin=doc, monkeypatch=monkeypatch)
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_series_size_guard_exits_two_fast(capsys, monkeypatch):
     # weights of 31, 301 and 3,001 digits at order 200, whose expansion
     # takes from a second to minutes
@@ -256,7 +275,7 @@ def test_series_past_the_print_limit_names_the_coefficient(capsys, monkeypatch):
     assert elapsed < 0.1
     assert status == 2 and out == ""
     assert err == (
-        "error: series size estimate 14350 bits plus 1254 for the Bernoulli coefficients"
+        "error: series size estimate 14354 bits plus 1254 for the Bernoulli coefficients"
         " exceeds 14280 bits, the interpreter's limit of 4300 digits for integer strings\n"
     )
 

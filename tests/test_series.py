@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_data, substitute
 from txyrigid.algebra import PolyXY, SeriesU
-from txyrigid.classify import make_l1, make_s3
+from txyrigid.classify import make_l1, make_s3, make_z
 from txyrigid.genera import FixedPoint, FixedPointData, ah_constant, is_rigid
 from txyrigid import series
 from txyrigid.series import (
@@ -307,6 +307,23 @@ def test_series_work_guard_admits_n14_refuses_n15():
                 genus_series(data, TXY, n + 1)
 
 
+def test_series_guards_see_points_that_pair_off():
+    # the guards run on all of the data, before points that cancel are
+    # grouped away: Z pairs are refused exactly as at n = 15 and 10^30 above
+    weights = tuple(2**i for i in range(15))
+    with pytest.raises(ValueError) as refused:
+        genus_series(make_z(weights), TXY, 16)
+    assert str(refused.value) == (
+        "series work estimate 1297920 monomial products exceeds the bound 1048576"
+    )
+    a = 10**30 + 7
+    with pytest.raises(ValueError) as refused:
+        genus_series(make_z((a, a + 2)), TXY, 200)
+    assert str(refused.value) == (
+        "series size estimate 20504 bits per coefficient exceeds the bound 16384"
+    )
+
+
 class Admitted(Exception):
     pass
 
@@ -322,7 +339,8 @@ def test_series_size_guard_admits_1e20_refuses_1e30(monkeypatch):
     for exponent, ok in ((20, True), (30, False), (300, False)):
         a = 10**exponent + 7
         data = FixedPointData(2, (FixedPoint((a, a + 2), 1), FixedPoint((-a, a + 2), 1)))
-        bits = 201 * a.bit_length() + 2 * (a * (a + 2)).bit_length()
+        # TXY's assembly weights add 2n = 4 bits
+        bits = 201 * a.bit_length() + 2 * (a * (a + 2)).bit_length() + 4
         assert (bits <= MAX_SERIES_BITS) == ok
         with pytest.raises(Admitted if ok else ValueError, match=None if ok else f"{bits} bits"):
             genus_series(data, TXY, 200)
@@ -402,3 +420,17 @@ def test_genus_series_matches_reference_product():
                 got = genus_series(data, genus, order)
                 want = reference_series(data, genus, order)
                 assert [c.terms for c in got.coeffs] == [c.terms for c in want], (genus.name, order, data)
+    # points with equal sorted weights are expanded once per group: data
+    # that pairs off completely, S3(1, 2) plus a Z pair, and a point whose
+    # group's signs add up to 2
+    grouped = [
+        make_z((2, 5, -4)),
+        FixedPointData(2, tuple(FixedPoint(w, s) for w, s in (((1, -3), 1), ((2, 2), -1), ((-3, 1), -1), ((2, 2), 1)))),
+        FixedPointData(3, make_s3(1, 2).points + (FixedPoint((2, 5, -4), 1), FixedPoint((5, -4, 2), -1))),
+        FixedPointData(2, tuple(FixedPoint(w, s) for w, s in (((3, -1), 1), ((-1, 3), 1), ((2, 1), -1)))),
+    ]
+    for data in grouped:
+        for genus, order in ((TXY, data.n + 1), (TXY, 12), (TXY, 24), (TODD, 12), (custom, 12)):
+            got = genus_series(data, genus, order)
+            want = reference_series(data, genus, order)
+            assert [c.terms for c in got.coeffs] == [c.terms for c in want], (genus.name, order, data)
