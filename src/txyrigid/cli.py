@@ -239,13 +239,12 @@ def proof_json(trace: ProofTrace) -> dict:
     return {**vars(trace), "final_form": form}
 
 
-def emit(fmt: str, reports, table) -> None:
-    """Write each of ``reports`` as one JSON line, or the lines table()
-    yields; only the chosen format's lines are built.  The final newline
-    is a second write: unbuffered, a write that a closed reader cuts short
-    raises nothing, but the next one does (exit 141)."""
-    lines = map(_encode, reports) if fmt == "json" else table()
-    sys.stdout.write("\n".join(lines))
+def emit(fmt: str, lines, table) -> None:
+    """Write ``lines``, the report's JSON lines already encoded, or the
+    lines table() yields.  The final newline is a second write:
+    unbuffered, a write that a closed reader cuts short raises nothing,
+    but the next one does (exit 141)."""
+    sys.stdout.write("\n".join(lines if fmt == "json" else table()))
     sys.stdout.write("\n")
 
 
@@ -293,7 +292,7 @@ def run_verify(args) -> int:
         yield f"limits symmetric {report.limits_symmetric}"
         yield f"weight gcd       {report.weight_gcd}"
 
-    emit(args.format, [out], table)
+    emit(args.format, [_encode(out)], table)
     return 0 if report.rigid else 1
 
 
@@ -323,7 +322,7 @@ def run_classify(args) -> int:
                 f" final={trace.final_form}"
             )
 
-    emit(args.format, [out], table)
+    emit(args.format, [_encode(out)], table)
     return 0 if rigid else 1
 
 
@@ -370,7 +369,7 @@ def run_series(args) -> int:
         if cross is not None:
             yield f"cross-check {cross}"
 
-    emit(args.format, [out], table)
+    emit(args.format, [_encode(out)], table)
     return 0 if constant is not None else 1
 
 
@@ -388,17 +387,25 @@ def _parse_sign_patterns(text: str):
     return tuple(patterns)
 
 
-def result_json(result: SearchResult) -> dict:
-    family = result.family
-    constant, pretty = _rendered(result.report.ah_constant)
-    return {
-        "type": "result",
-        **data_json(result.data),
-        "family": None if family is None else {"kind": family.kind, "params": list(family.params)},
-        "constant": constant,
-        "constant_pretty": pretty,
-        "weight_gcd": result.report.weight_gcd,
-    }
+def result_json(result: SearchResult) -> str:
+    """One search result's JSON line, written as text.  It is the line that
+    ``_encode`` makes of the result's dict, keys sorted: no value needs
+    escaping, being an int, a family kind name, or a string of digits,
+    '-', '/', '+', '*', '^', 'x', 'y' and spaces."""
+    family, report = result.family, result.report
+    terms = [(key, str(c)) for key, c in report.ah_constant.sorted_terms()]
+    constant = ", ".join(f'{{"coeff": "{c}", "x": {i}, "y": {j}}}' for (i, j), c in terms)
+    tag = "null"
+    if family is not None:
+        tag = f'{{"kind": "{family.kind}", "params": {list(family.params)}}}'
+    points = ", ".join(
+        f'{{"sign": {p.sign}, "weights": {list(p.weights)}}}' for p in result.data.points
+    )
+    return (
+        f'{{"constant": [{constant}], "constant_pretty": "{format_terms(terms)}",'
+        f' "family": {tag}, "n": {result.data.n}, "points": [{points}],'
+        f' "type": "result", "weight_gcd": {report.weight_gcd}}}'
+    )
 
 
 def run_search(args) -> int:
@@ -443,7 +450,7 @@ def run_search(args) -> int:
         s = outcome.summary
         yield f"candidates {s.candidates}  pruned {s.pruned}  checked {s.checked}  rigid {s.rigid}"
 
-    emit(args.format, chain(map(result_json, outcome.results), [summary]), table)
+    emit(args.format, chain(map(result_json, outcome.results), [_encode(summary)]), table)
     return 0
 
 
@@ -455,58 +462,72 @@ class _Parser(argparse.ArgumentParser):
         super().error(_LONG_TOKEN.sub(lambda token: _shown(token[0], quote=False), message))
 
 
+def _document_args(p: argparse.ArgumentParser, handler) -> None:
+    p.add_argument("input", nargs="?", default="-", help="JSON document path or '-' for stdin")
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.set_defaults(handler=handler)
+
+
+def _series_args(p: argparse.ArgumentParser) -> None:
+    _document_args(p, run_series)
+    p.add_argument("--genus", default=None, help="genus name override (txy, todd)")
+    p.add_argument("--order", type=_int_flag, default=None, help="truncation order")
+
+
+def _search_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_int_flag, required=True, help="weights per point")
+    p.add_argument("--m", type=_int_flag, required=True, help="number of fixed points")
+    p.add_argument("--max-weight", type=_int_flag, required=True, help="weight magnitude bound")
+    p.add_argument("--signs", default="all", help="'all' or comma list like '+-,++'")
+    p.add_argument("--effective-only", action="store_true", help="keep weight gcd 1 only")
+    p.add_argument("--jobs", type=_int_flag, default=1, help="checked (at least 1), changes nothing")
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.set_defaults(handler=run_search)
+
+
+# command -> (its help line, the function that adds its arguments to a parser)
+_COMMANDS = {
+    "verify": ("exact rigidity check", lambda p: _document_args(p, run_verify)),
+    "classify": ("two-point family classification", lambda p: _document_args(p, run_classify)),
+    "series": ("truncated-series evaluation", _series_args),
+    "search": ("exhaustive rigidity search", _search_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every command a subparser; uncached, so each call
+    gives a new parser."""
     parser = _Parser(
         prog="txyrigid",
         description="Exact rigidity checker and search for circle-action fixed-point data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # name -> the command's own parser
-
-    def add_document_command(name, help, handler):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("input", nargs="?", default="-", help="JSON document path or '-' for stdin")
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.set_defaults(handler=handler)
-        return p
-
-    add_document_command("verify", "exact rigidity check", run_verify)
-    add_document_command("classify", "two-point family classification", run_classify)
-    p_series = add_document_command("series", "truncated-series evaluation", run_series)
-    p_series.add_argument("--genus", default=None, help="genus name override (txy, todd)")
-    p_series.add_argument("--order", type=_int_flag, default=None, help="truncation order")
-
-    p_search = sub.add_parser("search", help="exhaustive rigidity search")
-    p_search.add_argument("--n", type=_int_flag, required=True, help="weights per point")
-    p_search.add_argument("--m", type=_int_flag, required=True, help="number of fixed points")
-    p_search.add_argument("--max-weight", type=_int_flag, required=True, help="weight magnitude bound")
-    p_search.add_argument("--signs", default="all", help="'all' or comma list like '+-,++'")
-    p_search.add_argument("--effective-only", action="store_true", help="keep weight gcd 1 only")
-    p_search.add_argument("--jobs", type=_int_flag, default=1, help="checked (at least 1), changes nothing")
-    p_search.add_argument("--format", choices=("json", "table"), default="json")
-    p_search.set_defaults(handler=run_search)
+    for name, (help, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help))
     return parser
 
 
-# the parser main uses, filled by calling build_parser() on first use;
-# build_parser itself stays uncached, so each of its calls gives a new parser
-_PARSER: Optional[argparse.ArgumentParser] = None
+# each command's own parser, built on its first use: the parser that the
+# full parser's subparsers action would hand its arguments to
+_PARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    if name not in _PARSERS:
+        parser = _PARSERS[name] = _Parser(prog=f"txyrigid {name}")
+        _COMMANDS[name][1](parser)
+    return _PARSERS[name]
 
 
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # a named command is parsed by its own parser, the one the subparsers
-    # action would hand it to; anything else goes through the full parser
-    command = _PARSER.commands.get(argv[0]) if argv else None
+    # the full parser is built only for argv that names no command
     try:
-        if command is not None:
-            args = command.parse_args(argv[1:])
+        if argv and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
         else:
-            args = _PARSER.parse_args(argv)
+            args = build_parser().parse_args(argv)
     except SystemExit as err:
         # argparse exits 2 on usage errors, matching the error status
         return int(err.code) if err.code else 0

@@ -34,7 +34,7 @@ from math import gcd
 from operator import index
 from typing import Iterable, Optional, Union
 
-from .algebra import PolyXY, Record, _set
+from .algebra import _ZERO_POLY, PolyXY, Record, _set
 
 # Work guard: rigidity_defect refuses data when its upper bound on the
 # coefficient products of the expansion exceeds this.  Two negated points
@@ -402,12 +402,9 @@ def is_rigid(data: FixedPointData) -> GenusReport:
     """
     coeffs = _ah_coefficients(data)
     if not any(coeffs) and pairs_off(data.points):
-        defect = PackedDefect(0, 8, data.n)  # the zero int, in one-byte digits
-    else:
-        defect = rigidity_defect(data, coeffs)
+        # the zero int, in one-byte digits; a zero constant is symmetric
+        return GenusReport(PackedDefect(0, 8, data.n), _ZERO_POLY, True, weight_gcd(data))
+    defect = rigidity_defect(data, coeffs)
     return GenusReport(
-        defect=defect,
-        ah_constant=_ah_poly(data.n, coeffs),
-        limits_symmetric=_limits_cancel(data.n, coeffs),
-        weight_gcd=weight_gcd(data),
+        defect, _ah_poly(data.n, coeffs), _limits_cancel(data.n, coeffs), weight_gcd(data)
     )

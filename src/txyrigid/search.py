@@ -206,7 +206,8 @@ def _indices(total: int, m: int, residues: list[int]) -> Iterator[tuple[int, ...
     """The nondecreasing m-tuples of point indices whose residues sum to 0 mod
     MODULUS, in lexicographic order: a stem, a pen and a last index from the
     bucket of the residue that completes the sum.  A test made in C for all the
-    pens of a stem skips pens with none; at m = 2 every pen has one, its sign flip."""
+    pens of a stem skips pens with none, and a pen whose bucket ends below it yields
+    nothing: at m = 2 every pen has its sign flip, below it for a sign +1 pen."""
     if m == 1:
         yield from ((i,) for i in range(total) if residues[i] == 0)
         return
@@ -220,7 +221,9 @@ def _indices(total: int, m: int, residues: list[int]) -> Iterator[tuple[int, ...
         wanted = [(base - residues[pen]) % MODULUS for pen in pens]
         hits = compress(zip(pens, map(buckets.get, wanted)), map(buckets.__contains__, wanted))
         for pen, lasts in hits:
-            yield from ((*stem, pen, last) for last in lasts[bisect_left(lasts, pen) :])
+            if lasts[-1] >= pen:
+                for last in lasts[bisect_left(lasts, pen) :]:
+                    yield (*stem, pen, last)
 
 
 def _enumerate_shard(params: SearchParams, _join: bool = False) -> Iterator[DataKey]:
@@ -232,11 +235,12 @@ def _enumerate_shard(params: SearchParams, _join: bool = False) -> Iterator[Data
     points, negated = _table(params)
     signs = _sign_multisets(params)
     residues = _residues(points, params.max_abs_weight) if _join else [0] * len(points)
+    point_at, negated_at = points.__getitem__, negated.__getitem__
     for chosen in _indices(len(points), params.m, residues):
         # indices order like the keys they stand for
-        if tuple(sorted([negated[i] for i in chosen])) < chosen:
+        if tuple(sorted(map(negated_at, chosen))) < chosen:
             continue
-        key = tuple(points[i] for i in chosen)
+        key = tuple(map(point_at, chosen))
         if signs is not None and tuple(sign for sign, _ in key) not in signs:
             continue
         if params.require_effective and gcd(*(w for _, ws in key for w in ws)) != 1:

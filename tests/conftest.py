@@ -8,6 +8,7 @@ from operator import or_
 
 from txyrigid import FixedPoint, FixedPointData
 from txyrigid.algebra import LaurentZ, PolyXY
+from txyrigid.cli import _rendered, data_json
 from txyrigid.genera import ah_constant, rigidity_defect
 from txyrigid.search import MODULUS, _enumerate_shard, _ratios
 
@@ -133,3 +134,18 @@ def assert_matches_reference(data: FixedPointData) -> None:
     assert packed.terms == reference.terms
     assert packed.is_zero() == reference.is_zero()
     assert packed.term_count() == reference.term_count()
+
+
+def result_reference(result) -> dict:
+    """The dict of a search result's JSON line, the reference for
+    ``cli.result_json``, which writes the line as text."""
+    family = result.family
+    constant, pretty = _rendered(result.report.ah_constant)
+    return {
+        "type": "result",
+        **data_json(result.data),
+        "family": None if family is None else {"kind": family.kind, "params": list(family.params)},
+        "constant": constant,
+        "constant_pretty": pretty,
+        "weight_gcd": result.report.weight_gcd,
+    }

@@ -34,7 +34,7 @@ def desk_params(n: int) -> SearchParams:
 
 
 def serialize_outcome(outcome) -> bytes:
-    lines = [json.dumps(result_json(r), sort_keys=True) for r in outcome.results]
+    lines = [result_json(r) for r in outcome.results]
     summary = outcome.summary
     lines.append(
         json.dumps(

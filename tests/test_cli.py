@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import result_reference
 from txyrigid.cli import main
 
 
@@ -724,16 +725,17 @@ PINNED_SEARCH = os.path.join(
 )
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        *(f"search --m 2 --max-weight 5 --n {n} --signs all --jobs 1" for n in (1, 2, 3, 4)),
-        "search --m 3 --n 2 --max-weight 4",
-        "search --m 2 --n 3 --max-weight 5 --signs ++,+-",
-        "search --m 2 --max-weight 3 --n 5 --jobs 2",
-        "search --m 2 --max-weight 3 --n 6 --jobs 2",
-    ],
-)
+# the benchmark's desk and reach calls
+SEARCH_CALLS = [
+    *(f"search --m 2 --max-weight 5 --n {n} --signs all --jobs 1" for n in (1, 2, 3, 4)),
+    "search --m 3 --n 2 --max-weight 4",
+    "search --m 2 --n 3 --max-weight 5 --signs ++,+-",
+    "search --m 2 --max-weight 3 --n 5 --jobs 2",
+    "search --m 2 --max-weight 3 --n 6 --jobs 2",
+]
+
+
+@pytest.mark.parametrize("call", SEARCH_CALLS)
 def test_search_matches_pinned_outputs(capsys, call):
     with open(PINNED_SEARCH, encoding="utf-8") as handle:
         want = json.load(handle)[call]
@@ -745,6 +747,26 @@ def test_search_matches_pinned_outputs(capsys, call):
     assert status == want["exit"]
     assert (summary["candidates"], summary["rigid"]) == (want["candidates"], want["rigid"])
     assert digest == want["records_sha256"]
+
+
+@pytest.mark.parametrize("call", SEARCH_CALLS)
+def test_search_result_lines_equal_the_encoders_output(capsys, monkeypatch, call):
+    from txyrigid import cli
+
+    search, outcomes = cli.search_rigid, []
+
+    def recording(params):
+        outcomes.append(search(params))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cli, "search_rigid", recording)
+    status, out, _ = run_cli(capsys, call.split())
+    lines = out.splitlines()
+    (outcome,) = outcomes
+    assert status == 0 and len(lines) == len(outcome.results) + 1
+    for line, result in zip(lines, outcome.results):
+        assert line == cli.result_json(result)
+        assert line == json.dumps(result_reference(result), sort_keys=True)
 
 
 PINNED_SERIES = os.path.join(os.path.dirname(PINNED_SEARCH), "series.json")
@@ -858,18 +880,18 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["rigid"] is True
 
 
-def test_main_builds_the_parser_once(capsys, monkeypatch):
+def test_main_builds_each_command_parser_once(capsys, monkeypatch):
     from txyrigid import cli
 
-    builds = []
+    built = []
 
-    def counting_build():
-        builds.append(1)
-        return build()
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
 
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     status, out, _ = run_cli(capsys, ["verify", "-"], stdin=S3_12, monkeypatch=monkeypatch)
     assert status == 0 and json.loads(out)["command"] == "verify"
     status, out, _ = run_cli(
@@ -881,7 +903,14 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert status == 0 and json.loads(out)["family"] == {"kind": "L1", "params": [4]}
     status, out, err = run_cli(capsys, ["search", "--n", "1"])
     assert status == 2 and out == "" and "--m" in err
-    assert len(builds) == 1
+    status, out, _ = run_cli(capsys, ["verify", "-"], stdin=L1_4, monkeypatch=monkeypatch)
+    assert status == 0 and json.loads(out)["rigid"] is True
+    # a named command builds only its own parser, once per process
+    assert built == ["txyrigid verify", "txyrigid classify", "txyrigid search"]
+    # argv that names no command builds the full parser, with every command
+    status, out, err = run_cli(capsys, [])
+    assert status == 2 and out == "" and "required: command" in err
+    assert built[3:] == ["txyrigid", *(f"txyrigid {name}" for name in cli._COMMANDS)]
 
 
 @pytest.mark.parametrize("text", ["1_0", "\u0662", "1.5", "0x5", pytest.param(LONG_BAD, id="long")])

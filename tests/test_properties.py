@@ -11,10 +11,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from conftest import assert_matches_reference, residue_sum, swap_xy
-from txyrigid.cli import document_data, main
+from conftest import assert_matches_reference, residue_sum, result_reference, swap_xy
+from txyrigid.cli import document_data, main, result_json
 from txyrigid.classify import (
     classify_two_points,
     make_l1,
@@ -22,8 +22,18 @@ from txyrigid.classify import (
     make_z,
     replay_proof,
 )
-from txyrigid.genera import FixedPoint, FixedPointData, is_rigid, pairs_off, rigidity_defect
-from txyrigid.search import SearchParams, _count_classes, enumerate_data
+from txyrigid.genera import (
+    FixedPoint,
+    FixedPointData,
+    GenusReport,
+    ah_constant,
+    is_rigid,
+    limit_symmetry,
+    pairs_off,
+    rigidity_defect,
+    weight_gcd,
+)
+from txyrigid.search import SearchParams, SearchResult, _count_classes, enumerate_data
 from txyrigid.algebra import PolyXY
 from txyrigid.series import TODD, TXY, genus_series, series_is_constant
 
@@ -152,6 +162,41 @@ def large_weight_data(draw):
 def test_packed_defect_matches_reference(data):
     # terms, zero test and term count against the LaurentZ product chain
     assert_matches_reference(data)
+
+
+@st.composite
+def paired_off(draw):
+    """Data that pairs off completely: one to three Z pairs of n <= 6
+    weights, each partner's weights permuted, the points shuffled."""
+    n, points = draw(st.integers(1, 6)), []
+    for _ in range(draw(st.integers(1, 3))):
+        weights, sign = tuple(draw(_weights(n, 6))), draw(SIGNS)
+        partner = tuple(draw(st.permutations(weights)))
+        points += [FixedPoint(weights, sign), FixedPoint(partner, -sign)]
+    return FixedPointData(n, tuple(draw(st.permutations(points))))
+
+
+@given(paired_off())
+def test_paired_shortcut_matches_the_full_report(data):
+    # is_rigid builds no constant for paired data; the report is the one
+    # that the defect, the AH constant and the limit test give
+    report = is_rigid(data)
+    assert report == GenusReport(
+        rigidity_defect(data), ah_constant(data), limit_symmetry(data), weight_gcd(data)
+    )
+    assert report.constant == 0
+
+
+@example(make_l1(7))
+@example(make_s3(2, 5))
+@example(FixedPointData(1, (FixedPoint((1,), -1),) * 3))  # AH coefficient -3, family None
+@example(FixedPointData(2, (FixedPoint((3, -2), -1),) * 4))  # AH coefficient 4
+@given(small_data() | two_points())
+def test_result_line_equals_the_encoders_output(data):
+    # the result as the search would make it, rigid or not
+    family = classify_two_points(data) if data.m == 2 else None
+    result = SearchResult(data, is_rigid(data), family)
+    assert result_json(result) == json.dumps(result_reference(result), sort_keys=True)
 
 
 # -- symmetries of the exact check ----------------------------------------------
