@@ -16,14 +16,16 @@ Conventions shared by the whole package:
 
 ``PolyXY`` holds the constants that reports carry and is the ring the
 tests compute reference series with.  ``LaurentZ``, one ``{x-exponent:
-int}`` map per z-coefficient multiplied term by term, and ``SeriesU.__mul__``
-run nowhere in the package: they are the tests' reference kernels, and
+int}`` map per z-coefficient multiplied term by term, and ``SeriesU``
+run nowhere in the package (the series back-end keeps integer rows,
+``series.GenusExpansion``): they are the tests' reference kernels, and
 the benchmark's kernel counters patch their products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -70,15 +72,21 @@ def _fraction(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+@lru_cache(maxsize=4096)
+def _monomial(key: tuple[int, int]) -> str:
+    i, j = key
+    x = "x" if i == 1 else f"x^{i}" if i else ""
+    y = "y" if j == 1 else f"y^{j}" if j else ""
+    return f"{x}*{y}" if x and y else x or y
+
+
 def format_terms(terms: Iterable[tuple[tuple[int, int], str]]) -> str:
     """The text of ``str(PolyXY)`` from its sorted terms, each coefficient
     given as the string ``str(Fraction)`` makes of it, so a caller that
     holds those strings converts no integer to decimal again."""
     parts = []
-    for (i, j), coeff in terms:
-        x = "x" if i == 1 else f"x^{i}" if i else ""
-        y = "y" if j == 1 else f"y^{j}" if j else ""
-        mono = f"{x}*{y}" if x and y else x or y
+    for key, coeff in terms:
+        mono = _monomial(key)
         sign, mag = ("- ", coeff[1:]) if coeff[0] == "-" else ("+ ", coeff)
         parts.append(sign + (mag if not mono else mono if mag == "1" else f"{mag}*{mono}"))
     text = " ".join(parts) or "+ 0"
@@ -308,7 +316,8 @@ _ZERO_POLY = PolyXY.zero()
 
 
 class SeriesU(Record):
-    """Truncated Laurent series: PolyXY coefficients for the exponents
+    """The tests' reference type for truncated Laurent series: PolyXY
+    coefficients for the exponents
     ``lowest`` .. ``order - 1``, with ``order`` = ``lowest`` plus the
     number of ``coeffs``.
 

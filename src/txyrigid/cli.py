@@ -331,16 +331,18 @@ def run_series(args) -> int:
     data = document_data(doc)
     genus = document_genus(doc, args.genus)
     order = document_order(doc, args.order, data.n)
-    series = genus_series(data, genus, order, sys.get_int_max_str_digits())
-    constant = series_is_constant(series)
+    expansion = genus_series(data, genus, order, sys.get_int_max_str_digits())
+    constant = series_is_constant(expansion)
+    # each row as its "coeff" list's JSON text and its pretty form
     rows = []
-    for k in range(series.lowest, series.order):
+    for k in range(expansion.lowest, expansion.order):
         try:
-            coeff, pretty = _rendered(series.coeff(k))
-            rows.append({"exp": k, "coeff": coeff, "pretty": pretty})
+            terms = expansion.terms(k)
         except ValueError:
             # str() refuses ints longer than the interpreter's digit limit
             raise InputError(f"series: the u^{k} coefficient has {_too_long()}") from None
+        coeff = ", ".join(f'{{"coeff": "{c}", "x": {i}, "y": {j}}}' for (i, j), c in terms)
+        rows.append((k, f"[{coeff}]", format_terms(terms)))
     cross = None
     if genus.symbolic:
         zreport = is_rigid(data)
@@ -348,28 +350,33 @@ def run_series(args) -> int:
             constant is None or constant == zreport.ah_constant
         )
         cross = "agree" if agree else "disagree"
-    out = {
-        "command": "series",
-        "genus": genus.name,
-        "order": order,
-        "expansion_variable": "(x+y)*u" if genus.symbolic else "u",
-        "coefficients": rows,
+    verdict = "constant" if constant is not None else "not-constant"
+    constant_json = constant_pretty = "null"
+    if constant is not None:
         # a constant series's constant is its u^0 row
-        "constant": None if constant is None else rows[-series.lowest]["coeff"],
-        "constant_pretty": None if constant is None else rows[-series.lowest]["pretty"],
-        "verdict": "constant" if constant is not None else "not-constant",
-        "cross_check": cross,
-    }
+        _, constant_json, pretty = rows[-expansion.lowest]
+        constant_pretty = f'"{pretty}"'
+    cross_json = "null" if cross is None else f'"{cross}"'
+    variable = "(x+y)*u" if genus.symbolic else "u"
+    # the line as text, keys sorted: the genus name goes through the
+    # encoder, and no other string in it needs escaping
+    text = ", ".join(f'{{"coeff": {c}, "exp": {k}, "pretty": "{p}"}}' for k, c, p in rows)
+    line = (
+        f'{{"coefficients": [{text}], "command": "series", "constant": {constant_json},'
+        f' "constant_pretty": {constant_pretty}, "cross_check": {cross_json},'
+        f' "expansion_variable": "{variable}", "genus": {_encode(genus.name)},'
+        f' "order": {order}, "verdict": "{verdict}"}}'
+    )
 
     def table():
         yield f"genus {genus.name}   order {order}"
-        for row in rows:
-            yield f"u^{row['exp']:<4} {row['pretty']}"
-        yield f"verdict {out['verdict']}"
+        for k, _, pretty in rows:
+            yield f"u^{k:<4} {pretty}"
+        yield f"verdict {verdict}"
         if cross is not None:
             yield f"cross-check {cross}"
 
-    emit(args.format, [_encode(out)], table)
+    emit(args.format, [line], table)
     return 0 if constant is not None else 1
 
 

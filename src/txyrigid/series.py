@@ -9,7 +9,10 @@ weight factors, and the candidate's series is the sum over points.
 
 Every expansion rests on one rational series, the Bernoulli expansion
 
-    g(s) = 1/(e^s - 1) = sum_k B_k s^(k-1) / k!     (B_1 = -1/2).
+    g(s) = 1/(e^s - 1) = sum_k B_k s^(k-1) / k!     (B_1 = -1/2),
+
+whose Bernoulli numbers come from the integer tangent numbers, one table
+per length.
 
 For the two-parameter genus
 
@@ -36,7 +39,10 @@ row over all exponents, to which each summed e_k contributes
 K(n, k, b) the x^(n-b) y^b coefficient of (x-y)^(n-k) (x+y)^k, over
 2^n times the common denominator.  Only the rows b <= n/2 are built:
 swapping x and y turns each factor into minus itself at -t, so row n - b
-is row b with its odd indices negated.  Nothing here is shared with the
+is row b with its odd indices negated.  The rows stay integers, returned
+as a ``GenusExpansion``: constancy is a test for zero entries, and an
+entry becomes a reduced fraction, by one gcd, only when it is printed or
+a ``PolyXY`` coefficient is asked for.  Nothing here is shared with the
 exact z-domain check in ``genera``.
 The stored coefficient of t^k is the true u^k coefficient divided by
 (x+y)^k.  Constancy is unaffected by the scaling (the coefficient ring
@@ -67,10 +73,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Optional
 
-from .algebra import PolyXY, Record, SeriesU, _fraction, _set
+from .algebra import PolyXY, Record, _fraction, _set
 from .genera import FixedPointData
 
 # Work guard: genus_series refuses data when its bound on the coefficient
@@ -89,18 +95,33 @@ MAX_SERIES_WORK = 1 << 20
 MAX_SERIES_BITS = 1 << 14
 
 
+def _bernoulli_numbers(count: int) -> list[Fraction]:
+    """B_0 .. B_(count-1), from the tangent numbers T_1, T_2, .. (tan s =
+    sum_k T_k s^(2k-1) / (2k-1)!), which Brent and Harvey's recurrence
+    (Fast computation of Bernoulli, Tangent and Secant numbers, 2011)
+    builds in O(count^2) integer operations; then
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    half = (count - 1) // 2
+    tangent = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    out = [Fraction(1), Fraction(-1, 2)][:count] + [Fraction(0)] * (count - 2)
+    for k in range(1, half + 1):
+        power = 4**k
+        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tangent[k], power * (power - 1))
+    return out
+
+
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
     """The Bernoulli number B_k, in the convention s/(e^s - 1) =
-    sum_k B_k s^k / k! (so B_1 = -1/2).  Each value is computed once, from
-    the cached lower ones, by sum_{j <= k} C(k + 1, j) B_j = 0."""
+    sum_k B_k s^k / k! (so B_1 = -1/2)."""
     if k < 0:
         raise ValueError("Bernoulli numbers start at index 0")
-    if k == 0:
-        return Fraction(1)
-    if k % 2 and k > 1:
-        return Fraction(0)
-    return -sum(comb(k + 1, j) * bernoulli(j) for j in range(k)) / (k + 1)
+    return _bernoulli_numbers(k + 1)[k]
 
 
 def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
@@ -112,9 +133,8 @@ def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
 def _g_regular(length: int) -> tuple[tuple[int, ...], int]:
     # coefficients of s^0 .. s^(length-2) in g(s) - 1/s, as integer
     # numerators over one common denominator
-    return _over_common_denominator(
-        [bernoulli(k + 1) / factorial(k + 1) for k in range(length - 1)]
-    )
+    numbers = _bernoulli_numbers(length)
+    return _over_common_denominator([numbers[k] / factorial(k) for k in range(1, length)])
 
 
 def _factor(w: int, numerators: tuple[int, ...], denominator: int) -> tuple[int, ...]:
@@ -208,6 +228,60 @@ TXY = GenusSeries("txy")
 TODD = GenusSeries("todd")
 
 
+class GenusExpansion(Record):
+    """A truncated Laurent series with coefficients in Q[x, y], as integer
+    rows over one positive denominator: ``rows`` holds, sorted by key, one
+    pair ``((i, j), numerators)`` per monomial x^i y^j, whose numerators
+    are those of its coefficients of u^lowest .. u^(order - 1).  Equality
+    and the hash read the values, reduced: two expansions of one series
+    with the same keys are equal whatever their denominators.
+    """
+
+    def __init__(self, lowest: int, denominator: int, rows: tuple):
+        if denominator <= 0:
+            raise ValueError("the denominator must be positive")
+        _set(self, "lowest", lowest)
+        _set(self, "denominator", denominator)
+        _set(self, "rows", rows)
+
+    def _values(self) -> tuple:
+        common = gcd(self.denominator, *(gcd(*row) for _, row in self.rows))
+        rows = tuple((key, tuple(c // common for c in row)) for key, row in self.rows)
+        return self.lowest, self.denominator // common, rows
+
+    @property
+    def order(self) -> int:
+        return self.lowest + (len(self.rows[0][1]) if self.rows else 0)
+
+    def coeff(self, k: int) -> PolyXY:
+        """The u^k coefficient as a PolyXY of reduced Fractions: zero below
+        ``lowest``, unknown (ValueError) from ``order`` on."""
+        if k < self.lowest:
+            return PolyXY.zero()
+        if k >= self.order:
+            raise ValueError(f"exponent {k} is beyond the truncation order {self.order}")
+        i, d = k - self.lowest, self.denominator
+        return PolyXY._raw({key: Fraction(row[i], d) for key, row in self.rows if row[i]})
+
+    @property
+    def coeffs(self) -> tuple[PolyXY, ...]:
+        return tuple(self.coeff(k) for k in range(self.lowest, self.order))
+
+    def terms(self, k: int) -> list[tuple[tuple[int, int], str]]:
+        """The nonzero terms of the retained u^k coefficient in key order,
+        each coefficient as the string ``str(Fraction)`` makes of its
+        reduced value; one gcd per term.  Like str(), this raises
+        ValueError for an integer past the interpreter's digit limit."""
+        i, d = k - self.lowest, self.denominator
+        out = []
+        for key, row in self.rows:
+            c = row[i]
+            if c:
+                g = gcd(c, d)
+                out.append((key, str(c // g) if g == d else f"{c // g}/{d // g}"))
+        return out
+
+
 def _size_estimate(n: int, length: int, weights, common: int, genus: GenusSeries) -> int:
     """A bound on the bits the data and the genus put into one integer of
     the expansion, from the weights and the listed coefficients alone.
@@ -241,7 +315,7 @@ def _size_estimate(n: int, length: int, weights, common: int, genus: GenusSeries
 
 def genus_series(
     data: FixedPointData, genus: GenusSeries, order: int, max_digits: int = 0
-) -> SeriesU:
+) -> GenusExpansion:
     """The candidate's equivariant genus as a truncated series: the signed
     sum over fixed points of the product of weight factors.  Retains
     exponents from -n up to order - 1.
@@ -256,9 +330,11 @@ def genus_series(
     recursion e_k += e_(k-1) * factor, one multiply-accumulate per update.
     The summed e_k are then assembled into one integer row per y-exponent
     over every retained exponent, TXY's e_k weighted by 2^k K(n, k, b) at
-    every other index, and each nonzero entry becomes one reduced
-    fraction; TXY builds the rows b <= n/2 and reads row n - b off row b,
-    and a rational genus has the one row e_n.
+    every other index; TXY builds the rows b <= n/2 and reads row n - b
+    off row b, and a rational genus has the one row e_n.  The rows are
+    returned as they are, over one denominator, as a GenusExpansion: no
+    entry is reduced here, only where it is printed or read as a
+    PolyXY.
 
     Two guards run before any product, and before the grouping, on all of
     the data; each raises ValueError.  The work is bounded from m, n and
@@ -353,32 +429,28 @@ def genus_series(
     # x^b y^(n-b) coefficient of t^j is (-1)^(j+n) times the x^(n-b) y^b
     # one: row n - b is row b with its odd indices negated.  A rational
     # genus has the one row e_n over scale^n, every index, keyed (0, 0)
-    for k in range(low, n):
-        lift = scale ** (n - k)
-        sums[k] = [c * lift for c in sums[k]]
-    terms = [{} for _ in range(length)]
+    out = []
     for key, mirror, parts in rows:
         row = [0] * length
         for k, f in parts:
-            shift = n - k
+            shift, f = n - k, f * scale ** (n - k)
             row[shift::stride] = [r + f * c for r, c in zip(row[shift::stride], sums[k])]
-        for i, c in enumerate(row):
-            if c:
-                terms[i][key] = c = Fraction(c, full)
-                if mirror:
-                    terms[i][mirror] = -c if i % 2 else c
-    return SeriesU(-n, tuple(PolyXY._raw(t) for t in terms))
+        out.append((key, tuple(row)))
+        if mirror:
+            row[1::2] = [-c for c in row[1::2]]
+            out.append((mirror, tuple(row)))
+    out.sort()
+    return GenusExpansion(-n, full, tuple(out))
 
 
-def series_is_constant(series: SeriesU) -> Optional[PolyXY]:
+def series_is_constant(expansion: GenusExpansion) -> Optional[PolyXY]:
     """The constant term if every other retained coefficient vanishes,
-    None otherwise.  A claim of constancy is only about the retained
-    range; the exact z-domain checker owns the all-orders statement."""
-    constant = PolyXY.zero()
-    for k in range(series.lowest, series.order):
-        c = series.coeff(k)
-        if k == 0:
-            constant = c
-        elif not c.is_zero():
+    None otherwise, for an expansion that retains u^0, as genus_series's
+    do; only the u^0 coefficient becomes a PolyXY.  A claim of constancy
+    is only about the retained range; the exact z-domain checker owns the
+    all-orders statement."""
+    at = -expansion.lowest
+    for _, row in expansion.rows:
+        if any(row[:at]) or any(row[at + 1 :]):
             return None
-    return constant
+    return expansion.coeff(0)

@@ -1,16 +1,22 @@
+import io
+import json
 import random
+import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd
 from operator import or_
+from unittest import mock
 
 from txyrigid import FixedPoint, FixedPointData
 from txyrigid.algebra import LaurentZ, PolyXY
-from txyrigid.cli import _rendered, data_json
-from txyrigid.genera import ah_constant, rigidity_defect
+from txyrigid.cli import _rendered, data_json, main
+from txyrigid.genera import ah_constant, is_rigid, rigidity_defect
 from txyrigid.search import MODULUS, _enumerate_shard, _ratios
+from txyrigid.series import genus_series
 
 try:
     from hypothesis import configuration, settings
@@ -149,3 +155,78 @@ def result_reference(result) -> dict:
         "constant_pretty": pretty,
         "weight_gcd": result.report.weight_gcd,
     }
+
+
+def series_reference(data: FixedPointData, genus, order: int) -> dict:
+    """The dict of a series report's JSON line, built from the expansion's
+    ``PolyXY`` coefficients: the reference for ``cli.run_series``, which
+    writes the line as text from the expansion's integer rows."""
+    series = genus_series(data, genus, order)
+    rows = []
+    for k in range(series.lowest, series.order):
+        coeff, pretty = _rendered(series.coeff(k))
+        rows.append({"exp": k, "coeff": coeff, "pretty": pretty})
+    # constant when every retained coefficient but u^0 vanishes
+    constant = None
+    if not any(row["coeff"] for row in rows if row["exp"] != 0):
+        constant = series.coeff(0)
+    cross = None
+    if genus.symbolic:
+        zreport = is_rigid(data)
+        agree = (constant is not None) == zreport.rigid and (
+            constant is None or constant == zreport.ah_constant
+        )
+        cross = "agree" if agree else "disagree"
+    return {
+        "command": "series",
+        "genus": genus.name,
+        "order": order,
+        "expansion_variable": "(x+y)*u" if genus.symbolic else "u",
+        "coefficients": rows,
+        "constant": None if constant is None else rows[-series.lowest]["coeff"],
+        "constant_pretty": None if constant is None else rows[-series.lowest]["pretty"],
+        "verdict": "constant" if constant is not None else "not-constant",
+        "cross_check": cross,
+    }
+
+
+def series_table_reference(report: dict) -> str:
+    """The ``--format table`` output of the series report ``report``."""
+    lines = [f"genus {report['genus']}   order {report['order']}"]
+    lines += [f"u^{row['exp']:<4} {row['pretty']}" for row in report["coefficients"]]
+    lines.append(f"verdict {report['verdict']}")
+    if report["cross_check"] is not None:
+        lines.append(f"cross-check {report['cross_check']}")
+    return "\n".join(lines) + "\n"
+
+
+def series_document(data: FixedPointData, genus, order: int) -> str:
+    """The CLI document of ``data`` with ``genus`` and ``order``."""
+    doc = {
+        "n": str(data.n),
+        "points": [
+            {"weights": [str(w) for w in p.weights], "sign": str(p.sign)} for p in data.points
+        ],
+        "genus": {"name": genus.name},
+        "order": order,
+    }
+    if genus.regular_coeffs is not None:
+        doc["genus"]["coefficients"] = [str(c) for c in genus.regular_coeffs]
+    return json.dumps(doc)
+
+
+def assert_series_output_matches_reference(data: FixedPointData, genus, order: int) -> None:
+    """The series command's JSON line is the sorted-key encoding of
+    ``series_reference``, its table the reference table, and its exit
+    status 0 exactly for a constant series."""
+    report = series_reference(data, genus, order)
+    text = series_document(data, genus, order)
+    for fmt, want in (
+        ("json", json.dumps(report, sort_keys=True) + "\n"),
+        ("table", series_table_reference(report)),
+    ):
+        stdout = io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text)), redirect_stdout(stdout):
+            status = main(["series", "-", "--format", fmt])
+        assert stdout.getvalue() == want
+        assert status == (0 if report["verdict"] == "constant" else 1)

@@ -8,8 +8,13 @@ import time
 
 import pytest
 
-from conftest import result_reference
+from fractions import Fraction
+
+from conftest import assert_series_output_matches_reference, result_reference
+from txyrigid.classify import make_l1, make_s3, make_z
 from txyrigid.cli import main
+from txyrigid.genera import FixedPoint, FixedPointData
+from txyrigid.series import TODD, TXY, GenusSeries
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -515,6 +520,40 @@ def test_series_table_format(capsys, monkeypatch, genus, lines):
     status, out, err = run_cli(capsys, argv, stdin=L1_4, monkeypatch=monkeypatch)
     assert (status, err) == (0, "")
     assert out.splitlines() == [f"genus {genus}   order 3", "u^-1   0", *lines]
+
+
+# a custom genus with negative and non-unit coefficients
+SIGNED = [Fraction(-3, 7), Fraction(5, 2), -4, 0, Fraction(1, 9)]
+SERIES_CASES = {
+    "z": (make_z((1, -2, 3)), TXY, 12),
+    "z-todd": (make_z((2, 5, -4)), TODD, 24),
+    "l1": (make_l1(4), TXY, 12),
+    "l1-7-order-200": (make_l1(7), TXY, 200),
+    "l1-todd": (make_l1(4), TODD, 12),
+    "s3": (make_s3(1, 2), TXY, 24),
+    "s3-least-order": (make_s3(2, 5), TXY, 4),
+    # a Z pair next to S3(1, 2) cancels before expansion
+    "s3-with-z-pair": (
+        FixedPointData(3, make_s3(1, 2).points + (FixedPoint((2, 5, -4), 1), FixedPoint((5, -4, 2), -1))),
+        TXY,
+        13,
+    ),
+    # every row is zero
+    "cancelling": (FixedPointData(2, (FixedPoint((3, -1), 1), FixedPoint((-1, 3), -1))), TXY, 12),
+    "not-constant": (FixedPointData(2, (FixedPoint((1, 2), 1), FixedPoint((-1, -2), 1))), TXY, 12),
+    "signed-custom": (make_s3(1, 1), GenusSeries("signed", SIGNED), 12),
+    "quote": (make_l1(2), GenusSeries('say "hi"', SIGNED), 6),
+    "backslash": (make_l1(2), GenusSeries("a\\b", SIGNED), 6),
+    "control": (make_l1(2), GenusSeries("tab\tbell\x07", SIGNED), 6),
+    "non-ascii": (make_l1(2), GenusSeries("\u00e9t\u00e9 \u2028\U0001d4af", SIGNED), 6),
+}
+
+
+@pytest.mark.parametrize("data, genus, order", list(SERIES_CASES.values()), ids=list(SERIES_CASES))
+def test_series_line_and_table_equal_the_reference(data, genus, order):
+    # the JSON line is the sorted-key encoding of the report's dict, and
+    # the table the one that dict gives
+    assert_series_output_matches_reference(data, genus, order)
 
 
 MINE = document(1, [((1,), 1), ((-1,), 1)], genus={"name": "mine", "coefficients": ["5", "7"]})

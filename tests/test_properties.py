@@ -13,7 +13,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, strategies as st
 
-from conftest import assert_matches_reference, residue_sum, result_reference, swap_xy
+from conftest import (
+    assert_matches_reference,
+    assert_series_output_matches_reference,
+    residue_sum,
+    result_reference,
+    swap_xy,
+)
 from txyrigid.cli import document_data, main, result_json
 from txyrigid.classify import (
     classify_two_points,
@@ -35,7 +41,7 @@ from txyrigid.genera import (
 )
 from txyrigid.search import SearchParams, SearchResult, _count_classes, enumerate_data
 from txyrigid.algebra import PolyXY
-from txyrigid.series import TODD, TXY, genus_series, series_is_constant
+from txyrigid.series import TODD, TXY, GenusSeries, genus_series, series_is_constant
 
 SIGNS = st.sampled_from((1, -1))
 
@@ -350,6 +356,27 @@ def test_series_scaling_weights_scales_coefficients(data, c):
         assert image.coeffs == tuple(
             coeff * Fraction(c) ** k for k, coeff in enumerate(base.coeffs, base.lowest)
         )
+
+
+@st.composite
+def custom_genera(draw):
+    """A listed genus: up to six rational coefficients, negative and
+    non-unit ones among them, under a name that may need escaping."""
+    coefficients = draw(st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=6
+    ))
+    name = draw(st.text(max_size=6).filter(lambda name: name not in ("txy", "todd")))
+    return GenusSeries(name, coefficients)
+
+
+@example(make_z((2, 5, -4)), TXY, 12)  # cancels completely: every row is zero
+@example(make_l1(3), TODD, 24)
+@example(make_s3(2, 5), GenusSeries('"\\\x01\u00e9', [Fraction(-7, 3), 0, 5]), 12)
+@given(small_data(), st.sampled_from((TXY, TODD)) | custom_genera(), st.sampled_from((None, 12, 24)))
+def test_series_line_equals_the_encoders_output(data, genus, order):
+    # m = 1..4, n = 1..5, at orders n + 1 (None), 12 and 24: the line is
+    # the encoder's, and the table the one the report's dict gives
+    assert_series_output_matches_reference(data, genus, order or data.n + 1)
 
 
 @st.composite

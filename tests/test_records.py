@@ -17,6 +17,7 @@ from txyrigid import (
     FamilyTag,
     FixedPoint,
     FixedPointData,
+    GenusExpansion,
     GenusReport,
     GenusSeries,
     ProofTrace,
@@ -53,6 +54,7 @@ FIELDS = {
     SearchSummary: ("candidates", "checked", "rigid"),
     SearchOutcome: ("results", "summary"),
     GenusSeries: ("name", "regular_coeffs"),
+    GenusExpansion: ("lowest", "denominator", "rows"),
 }
 
 # the types whose fields may hold a PolyXY or a PackedDefect, neither of
@@ -74,6 +76,7 @@ def sample(cls):
         SearchSummary: lambda: SearchSummary(10, 4, 1),
         SearchOutcome: lambda: search_rigid(SearchParams(1, 2, 2)),
         GenusSeries: lambda: GenusSeries("g", regular_coeffs=[1, Fraction(1, 2)]),
+        GenusExpansion: lambda: GenusExpansion(-1, 6, (((0, 1), (3, -4)), ((1, 0), (0, 6)))),
     }[cls]()
 
 
@@ -182,6 +185,12 @@ def test_keyword_construction_and_defaults():
 DERIVED = {
     "order": ("order", lambda: sample(SeriesU), 1),
     "order-empty": ("order", lambda: SeriesU(3, ()), 3),
+    "order-expansion": ("order", lambda: sample(GenusExpansion), 1),
+    "coeffs-expansion": (
+        "coeffs",
+        lambda: sample(GenusExpansion),
+        (PolyXY({(0, 1): Fraction(1, 2)}), PolyXY({(0, 1): Fraction(-2, 3), (1, 0): 1})),
+    ),
     "rigid-false": ("rigid", lambda: is_rigid(NOT_RIGID), False),
     "constant-none": ("constant", lambda: is_rigid(NOT_RIGID), None),
     "rigid-true": ("rigid", lambda: is_rigid(S3_DATA), True),

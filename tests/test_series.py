@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from conftest import random_data, substitute
-from txyrigid.algebra import PolyXY, SeriesU
+from txyrigid.algebra import PolyXY
 from txyrigid.classify import make_l1, make_s3, make_z
 from txyrigid.genera import FixedPoint, FixedPointData, ah_constant, is_rigid
 from txyrigid import series
@@ -14,6 +14,7 @@ from txyrigid.series import (
     MAX_SERIES_WORK,
     TODD,
     TXY,
+    GenusExpansion,
     GenusSeries,
     bernoulli,
     genus_series,
@@ -71,6 +72,29 @@ def test_bernoulli_known_values():
     assert bernoulli(12) == Fraction(-691, 2730)
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def reference_bernoulli(count):
+    """B_0 .. B_(count-1) from sum_{j <= k} C(k + 1, j) B_j = 0, in
+    Fraction sums."""
+    numbers = []
+    for k in range(count):
+        if k == 0:
+            numbers.append(Fraction(1))
+        elif k % 2 and k > 1:
+            numbers.append(Fraction(0))
+        else:
+            numbers.append(-sum(comb(k + 1, j) * numbers[j] for j in range(k)) / (k + 1))
+    return numbers
+
+
+def test_bernoulli_matches_the_recurrence():
+    # up to B_260, past every length that MAX_ORDER admits
+    reference = reference_bernoulli(261)
+    assert [bernoulli(k) for k in range(261)] == reference
+    assert series._bernoulli_numbers(261) == reference
+    for count in range(6):
+        assert series._bernoulli_numbers(count) == reference[:count]
 
 
 # -- two-parameter factor ----------------------------------------------------
@@ -252,8 +276,38 @@ def test_genus_series_order_guard():
 
 
 def test_series_is_constant_zero_series():
-    zero = SeriesU(-2, (PolyXY.zero(),) * 7)
+    zero = GenusExpansion(-2, 1, (((0, 0), (0,) * 7),))
     assert series_is_constant(zero) == PolyXY.zero()
+    # TXY's keys at n = 2, every row zero but the constant's
+    rows = (((0, 2), (0, 0, 3, 0, 0)), ((1, 1), (0,) * 5), ((2, 0), (0, 0, -6, 0, 0)))
+    assert series_is_constant(GenusExpansion(-2, 4, rows)) == PolyXY({(0, 2): Fraction(3, 4), (2, 0): Fraction(-3, 2)})
+    pole = (((0, 2), (1, 0, 3, 0, 0)), ((1, 1), (0,) * 5), ((2, 0), (0,) * 5))
+    assert series_is_constant(GenusExpansion(-2, 4, pole)) is None
+
+
+def test_expansion_reads_reduced_fractions():
+    # negative numerators keep the sign on the numerator after reduction
+    e = GenusExpansion(-1, 12, (((0, 1), (-6, 4, 0)), ((1, 0), (3, -8, 12))))
+    assert e.order == 2
+    assert e.coeff(-2) == PolyXY.zero()
+    assert e.coeff(-1).terms == {(0, 1): Fraction(-1, 2), (1, 0): Fraction(1, 4)}
+    assert e.coeff(0).terms == {(0, 1): Fraction(1, 3), (1, 0): Fraction(-2, 3)}
+    assert e.coeff(1).terms == {(1, 0): Fraction(1)}
+    assert all(type(c) is Fraction for k in (-1, 0, 1) for c in e.coeff(k).terms.values())
+    assert e.coeffs == (e.coeff(-1), e.coeff(0), e.coeff(1))
+    with pytest.raises(ValueError, match="beyond the truncation order"):
+        e.coeff(2)
+    # the printed terms are str(Fraction) of the same values, in key order
+    for k in (-1, 0, 1):
+        assert e.terms(k) == [(key, str(c)) for key, c in e.coeff(k).sorted_terms()]
+    assert e.terms(-1) == [((0, 1), "-1/2"), ((1, 0), "1/4")]
+    assert e.terms(1) == [((1, 0), "1")]
+    # equality and the hash read the reduced values
+    doubled = GenusExpansion(-1, 24, (((0, 1), (-12, 8, 0)), ((1, 0), (6, -16, 24))))
+    assert doubled == e and hash(doubled) == hash(e)
+    assert doubled != GenusExpansion(-1, 24, (((0, 1), (-12, 8, 0)), ((1, 0), (6, -16, 25))))
+    with pytest.raises(ValueError, match="positive"):
+        GenusExpansion(-1, -12, e.rows)
 
 
 # -- oracle agreement -----------------------------------------------------------
